@@ -13,19 +13,6 @@ pub enum RunSize {
 }
 
 impl RunSize {
-    /// Parses `--quick` / `--full` from `std::env::args` (default
-    /// [`RunSize::Standard`]).
-    pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--quick") {
-            RunSize::Quick
-        } else if args.iter().any(|a| a == "--full") {
-            RunSize::Full
-        } else {
-            RunSize::Standard
-        }
-    }
-
     /// Picks one of three values by run size.
     pub fn pick<T: Copy>(&self, quick: T, standard: T, full: T) -> T {
         match self {

@@ -11,10 +11,10 @@ use std::fs;
 
 use hirise_analog::testbench::{extended_dc, fig5a, fig5b};
 use hirise_analog::Waveform;
-use hirise_bench::args::RunSize;
+use hirise_bench::args::Flags;
 
 fn main() {
-    let size = RunSize::from_env();
+    let size = Flags::from_env().run_size();
     fs::create_dir_all("results").expect("can create results directory");
 
     println!("Fig. 5(a): two analog PWL inputs, 2-input Fig.-4 circuit");

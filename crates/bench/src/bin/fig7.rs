@@ -7,13 +7,13 @@
 //!
 //! Run: `cargo run --release -p hirise-bench --bin fig7 [--quick]`
 
-use hirise_bench::args::RunSize;
+use hirise_bench::args::Flags;
 use hirise_bench::stats::DatasetRoiStats;
 use hirise_energy::{ColorChannels, SystemParams};
 use hirise_scene::{DatasetSpec, ObjectClass};
 
 fn main() {
-    let size = RunSize::from_env();
+    let size = Flags::from_env().run_size();
     let images = size.pick(8, 24, 48);
     let stats = DatasetRoiStats::measure(
         &DatasetSpec::crowdhuman_like(),

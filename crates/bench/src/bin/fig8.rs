@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p hirise-bench --bin fig8 [--quick]`
 
-use hirise_bench::args::RunSize;
+use hirise_bench::args::Flags;
 use hirise_bench::stats::DatasetRoiStats;
 use hirise_energy::{AdcEnergy, ColorChannels, PoolingEnergy, SystemParams};
 use hirise_scene::{DatasetSpec, ObjectClass};
@@ -18,7 +18,7 @@ const N: u64 = 2560;
 const M: u64 = 1920;
 
 fn main() {
-    let size = RunSize::from_env();
+    let size = Flags::from_env().run_size();
     let images = size.pick(8, 24, 48);
     let adc = AdcEnergy::PAPER_45NM_8BIT;
     let pooling = PoolingEnergy::PAPER_45NM;

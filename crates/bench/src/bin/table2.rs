@@ -7,12 +7,12 @@
 //! point in every cell; accuracy rises with resolution (most strongly for
 //! the VisDrone-like preset); gray trails RGB by a small gap.
 
-use hirise_bench::args::RunSize;
+use hirise_bench::args::{Flags, RunSize};
 use hirise_bench::table2::{format_table, run_dataset, Table2Config};
 use hirise_scene::DatasetSpec;
 
 fn main() {
-    let size = RunSize::from_env();
+    let size = Flags::from_env().run_size();
     let mut config = match size {
         RunSize::Quick => Table2Config::quick(),
         RunSize::Standard => Table2Config::standard(),

@@ -14,7 +14,7 @@
 //!
 //! Run: `cargo run --release -p hirise-bench --bin table3 [--quick|--full]`
 
-use hirise_bench::args::RunSize;
+use hirise_bench::args::{Flags, RunSize};
 use hirise_energy::{AdcEnergy, PoolingEnergy, SystemParams};
 use hirise_imaging::{color, ops};
 use hirise_nn::train::TrainConfig;
@@ -106,7 +106,7 @@ fn accuracy_at(roi: u32, hidden: usize, train_pc: usize, test_pc: usize, seed: u
 }
 
 fn main() {
-    let size = RunSize::from_env();
+    let size = Flags::from_env().run_size();
     let arrays: Vec<(u64, u64)> = match size {
         RunSize::Quick => vec![(320, 240), (960, 720), (2560, 1920)],
         _ => vec![

@@ -32,9 +32,11 @@
 
 use std::time::Instant;
 
-use hirise::stream::SequenceSummary;
 use hirise::temporal::{TrackerState, TrackingPipeline};
-use hirise::{HiriseConfig, HirisePipeline, NoiseRngMode, PipelineScratch, Rect, TemporalConfig};
+use hirise::{
+    HiriseConfig, HirisePipeline, NoiseRngMode, PipelineScratch, Rect, SequenceSummary,
+    TemporalConfig,
+};
 use hirise_analog::pooling::PoolingCircuit;
 use hirise_scene::{ScenarioGenerator, ScenarioSpec};
 use hirise_sensor::PoolingConfig;
@@ -286,7 +288,7 @@ pub fn measure_tracked(config: &ScenarioBenchConfig) -> ScenarioMeasurement {
         let report =
             tracker.run_frame(&frame.image, &mut state, &mut scratch).expect("frame succeeds");
         tracked_total += ms(start.elapsed());
-        summary.fold(&report, false);
+        summary.fold(&report);
         truth.clear();
         truth.extend(frame.objects.iter().map(|o| o.bbox));
         let (sum, count, hits) = accuracy_sums(scratch.rois(), &truth);

@@ -26,6 +26,8 @@
 //!   persists ROIs across frames and re-runs the full stage-1 pool +
 //!   detect only on keyframes or drift, so steady-state video frames do
 //!   capture + selective ROI readout alone,
+//! * [`summary`] — the counters-only [`SequenceSummary`] fold over a
+//!   tracked sequence's per-frame reports,
 //! * [`baseline`] — the conventional full-frame system and the
 //!   in-processor-scaling variant the paper compares against,
 //! * [`analytical`] — the closed-form Table-1 model,
@@ -62,7 +64,7 @@ pub mod recover;
 pub mod report;
 pub mod roi;
 pub mod scratch;
-pub mod stream;
+pub mod summary;
 pub mod temporal;
 pub mod timing;
 
@@ -74,10 +76,7 @@ pub use pipeline::{HirisePipeline, PipelineRun};
 pub use recover::RecoverError;
 pub use report::{FrameKind, RunReport, TemporalFrameReport};
 pub use scratch::PipelineScratch;
-pub use stream::{
-    SequenceStreamSummary, SequenceSummary, StreamConfig, StreamExecutor, StreamOrdering,
-    StreamSummary,
-};
+pub use summary::SequenceSummary;
 pub use temporal::{TrackerCheckpoint, TrackerState, TrackingPipeline};
 pub use timing::StageTimings;
 

@@ -18,9 +18,10 @@
 //! state and one pooled-image variant are retained, so alternating
 //! pipelines with different sensor configs or colour modes through a
 //! single scratch rebuilds those (large) buffers on every alternation.
-//! For the zero-allocation steady state, give each pipeline its own
-//! scratch (as `StreamExecutor` does per worker). The per-frame results
-//! stay readable on the scratch until the next call.
+//! For the zero-allocation steady state, give each worker thread its
+//! own scratch and route only same-configuration pipelines through it
+//! (as `hirise_serve::ServeEngine` does). The per-frame results stay
+//! readable on the scratch until the next call.
 
 use hirise_detect::{Detection, DetectorScratch};
 use hirise_imaging::rect::UnionScratch;

@@ -40,8 +40,8 @@
 //! quantities. With the sensor's keyed noise mode (the default) frame
 //! noise is position-pure as well, so an entire tracked *sequence* is
 //! bit-identical regardless of worker placement or intra-frame shard
-//! count — the property the sequence mode of
-//! [`crate::stream::StreamExecutor`] builds on.
+//! count — the property the multi-session serve engine
+//! (`hirise_serve::ServeEngine`) builds on.
 //!
 //! Like the still path, the steady state allocates nothing: tracks,
 //! candidate boxes, association tables and ROI buffers all live in

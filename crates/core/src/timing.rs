@@ -15,7 +15,8 @@ use std::ops::{Add, AddAssign};
 use std::time::Duration;
 
 /// Wall-clock time spent in each stage of one frame (or, summed, of a
-/// whole stream — see [`StreamSummary`](crate::stream::StreamSummary)).
+/// whole sequence — see
+/// [`SequenceSummary::stage_totals`](crate::SequenceSummary::stage_totals)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Scene → analog pixel array (sensor capture / in-place recapture,

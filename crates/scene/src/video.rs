@@ -340,8 +340,8 @@ impl VideoGenerator {
         (0..count).map(|i| self.frame(i)).collect()
     }
 
-    /// Renders frames `0..count`, keeping only the images — the shape the
-    /// stream executors consume.
+    /// Renders frames `0..count`, keeping only the images — the shape a
+    /// pre-materialised serve session clip takes.
     pub fn images(&self, count: u32) -> Vec<RgbImage> {
         (0..count).map(|i| self.frame(i).image).collect()
     }

@@ -67,7 +67,7 @@ pub use noise::NoiseRngMode;
 pub use pixel::PixelParams;
 pub use pooling::PoolingConfig;
 pub use sensor::{ColorMode, ReadoutStats, Sensor, SensorConfig};
-pub use shard::{CheckinTimeout, ShardPool};
+pub use shard::ShardPool;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SensorError>;

@@ -29,17 +29,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// A type-erased shard job: workers claim shard indices from `cursor`
 /// and call `run(ctx, index)` for each, then check in once on `done`
 /// (setting `poisoned` first if a shard panicked on their thread).
-///
-/// The optional `enter`/`release` hooks belong to the bounded variant
-/// ([`ShardPool::run_bounded`]): `enter` runs under the slot lock at
-/// pickup (so a retraction linearizes against it), `release` after the
-/// check-in — together they reference-count a heap-held job context
-/// that must outlive a caller who timed out and walked away.
 #[derive(Clone, Copy)]
 struct Job {
     // SAFETY: callable only while the publishing call keeps `ctx` alive
@@ -51,17 +44,10 @@ struct Job {
     poisoned: *const AtomicBool,
     shards: usize,
     seq: u64,
-    // SAFETY: callable only under the slot lock at pickup, with `ctx`
-    // pointing to the job's live `BoundedCtx`.
-    enter: Option<unsafe fn(*const ())>,
-    // SAFETY: callable exactly once per acquired reference (enter or
-    // publication), after this participant's last access to `ctx`.
-    release: Option<unsafe fn(*const ())>,
 }
 
-// SAFETY: the pointers target the stack frame (or refcounted heap
-// context) of the `run`/`run_bounded` call that published the job,
-// which outlives every access (see the module docs).
+// SAFETY: the pointers target the stack frame of the `run` call that
+// published the job, which outlives every access (see the module docs).
 unsafe impl Send for Job {}
 
 struct Shared {
@@ -138,18 +124,7 @@ impl ShardPool {
                         return;
                     }
                     match slot.job {
-                        Some(job) if job.seq != last_seq => {
-                            // SAFETY: the job is still published (we
-                            // hold the slot lock and just read it from
-                            // the slot), so `ctx` is alive; entry is
-                            // recorded under the lock, so a bounded
-                            // caller that retracts the job under the
-                            // same lock sees a final entrant count.
-                            if let Some(enter) = job.enter {
-                                unsafe { enter(job.ctx) }
-                            }
-                            break job;
-                        }
+                        Some(job) if job.seq != last_seq => break job,
                         _ => {
                             slot = shared.work_cv.wait(slot).unwrap_or_else(PoisonError::into_inner)
                         }
@@ -163,9 +138,8 @@ impl ShardPool {
             // poisoned, and check in regardless.
             //
             // SAFETY: this worker has not checked in yet, so the
-            // publisher is still blocked in its check-in wait (or, for
-            // bounded jobs, the entry above holds a context reference)
-            // and every job pointer is alive.
+            // publisher is still blocked in its check-in wait, so every
+            // job pointer is alive.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
                 loop {
                     let i = (*job.cursor).fetch_add(1, Ordering::Relaxed);
@@ -177,10 +151,7 @@ impl ShardPool {
             }));
             // SAFETY: still pre-check-in for `poisoned`; `done` itself
             // is kept alive by the publisher's check-in wait spinning on
-            // it (stack jobs) or by this worker's context reference
-            // (bounded jobs), and `release` is this participant's last
-            // touch of `ctx`, called exactly once after its final
-            // access.
+            // it.
             unsafe {
                 if outcome.is_err() {
                     (*job.poisoned).store(true, Ordering::Release);
@@ -189,12 +160,6 @@ impl ShardPool {
                 // which is what keeps the job's stack pointers alive for
                 // the whole time any worker can observe them.
                 (*job.done).fetch_add(1, Ordering::Release);
-                // Bounded jobs: drop this worker's reference on the
-                // heap context (possibly freeing it, if the caller
-                // already timed out and left).
-                if let Some(release) = job.release {
-                    release(job.ctx);
-                }
             }
         }
     }
@@ -232,8 +197,6 @@ impl ShardPool {
             poisoned: &poisoned,
             shards,
             seq,
-            enter: None,
-            release: None,
         };
         {
             let mut slot = self.shared.slot.lock().unwrap_or_else(PoisonError::into_inner);
@@ -259,212 +222,7 @@ impl ShardPool {
             panic!("a shard worker panicked during a sharded job");
         }
     }
-
-    /// [`ShardPool::run`] with a **bounded** check-in wait: instead of
-    /// blocking forever when a worker wedges inside a shard, the caller
-    /// waits at most `timeout` after finishing its own share and then
-    /// returns a structured [`CheckinTimeout`].
-    ///
-    /// Walking away from a live job is only sound if nothing the
-    /// stragglers touch dies with this call — so unlike `run`, the
-    /// closure is `'static` and moved into a reference-counted heap
-    /// context (one allocation per call; this is a watchdog wrapper,
-    /// not the zero-alloc frame path). The job is retracted before the
-    /// wait, a wedged worker keeps the context alive, finishes its
-    /// shard in the background, and the last participant frees it — no
-    /// stack pointer ever outlives its frame.
-    ///
-    /// After a timeout the pool is degraded, not broken: the wedged
-    /// worker rejoins the pool when (if) its shard finally returns, and
-    /// until then subsequent jobs block on it as usual. A worker-side
-    /// panic surfaces as a caller panic exactly as in `run` (only after
-    /// a complete, in-time check-in).
-    ///
-    /// # Errors
-    ///
-    /// [`CheckinTimeout`] when not every participating worker checked
-    /// in within `timeout` of the caller finishing its share.
-    pub fn run_bounded<F>(
-        &self,
-        shards: usize,
-        f: F,
-        timeout: Duration,
-    ) -> std::result::Result<(), CheckinTimeout>
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        if shards <= 1 || self.workers.is_empty() {
-            for i in 0..shards {
-                f(i);
-            }
-            return Ok(());
-        }
-        let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
-        let ctx = Box::into_raw(Box::new(BoundedCtx {
-            f,
-            cursor: AtomicUsize::new(0),
-            shards_done: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
-            entered: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
-            refs: AtomicUsize::new(1),
-        }));
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        // SAFETY: `ctx` came from `Box::into_raw` above and is freed
-        // only by the last `bounded_release` (the caller holds the
-        // initial reference until its own release at the end of this
-        // call), so the shared borrow is valid for this whole scope.
-        let ctx_ref = unsafe { &*ctx };
-        let job = Job {
-            run: bounded_call::<F>,
-            ctx: ctx as *const (),
-            cursor: &ctx_ref.cursor,
-            done: &ctx_ref.done,
-            poisoned: &ctx_ref.poisoned,
-            shards,
-            seq,
-            enter: Some(bounded_enter::<F>),
-            release: Some(bounded_release::<F>),
-        };
-        {
-            let mut slot = self.shared.slot.lock().unwrap_or_else(PoisonError::into_inner);
-            slot.job = Some(job);
-            self.shared.work_cv.notify_all();
-        }
-        // The caller claims shards like any worker; a panicking shard on
-        // this thread must still run the retract-and-wait epilogue.
-        let caller = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
-            let i = ctx_ref.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= shards {
-                break;
-            }
-            (ctx_ref.f)(i);
-            ctx_ref.shards_done.fetch_add(1, Ordering::Release);
-        }));
-        // Retract the job: entries happen under this lock, so after the
-        // retraction the entrant count is final and the bounded wait
-        // below races nobody.
-        {
-            let mut slot = self.shared.slot.lock().unwrap_or_else(PoisonError::into_inner);
-            slot.job = None;
-        }
-        let start = Instant::now();
-        let outcome = loop {
-            let entered = ctx_ref.entered.load(Ordering::Acquire);
-            if ctx_ref.done.load(Ordering::Acquire) == entered {
-                break Ok(());
-            }
-            if start.elapsed() >= timeout {
-                break Err(CheckinTimeout {
-                    shards,
-                    completed: ctx_ref.shards_done.load(Ordering::Acquire),
-                    entered,
-                    checked_in: ctx_ref.done.load(Ordering::Acquire),
-                    waited: start.elapsed(),
-                });
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        };
-        let poisoned = outcome.is_ok() && ctx_ref.poisoned.load(Ordering::Acquire);
-        // Drop the caller's reference; on a timeout the straggler now
-        // owns the context and frees it at its eventual check-in.
-        //
-        // SAFETY: this is the caller's one release of the reference it
-        // has held since `Box::into_raw`, and `ctx_ref` is not touched
-        // again below it.
-        unsafe { bounded_release::<F>(ctx as *const ()) };
-        if let Err(payload) = caller {
-            std::panic::resume_unwind(payload);
-        }
-        if poisoned {
-            panic!("a shard worker panicked during a sharded job");
-        }
-        outcome
-    }
 }
-
-/// The heap-held context of one [`ShardPool::run_bounded`] job: the
-/// closure plus every cross-thread counter, reference-counted so a
-/// timed-out caller can leave while a wedged worker finishes.
-struct BoundedCtx<F> {
-    f: F,
-    cursor: AtomicUsize,
-    shards_done: AtomicUsize,
-    done: AtomicUsize,
-    entered: AtomicUsize,
-    poisoned: AtomicBool,
-    refs: AtomicUsize,
-}
-
-// SAFETY(contract): `ctx` must point to a live `BoundedCtx<F>` —
-// upheld because every worker calling this entered the job first, and
-// entry takes a context reference that `bounded_release` only drops
-// after the worker's last shard.
-unsafe fn bounded_call<F: Fn(usize)>(ctx: *const (), i: usize) {
-    // SAFETY: `ctx` is a live `BoundedCtx<F>` per this fn's contract.
-    let ctx = unsafe { &*(ctx as *const BoundedCtx<F>) };
-    (ctx.f)(i);
-    ctx.shards_done.fetch_add(1, Ordering::Release);
-}
-
-// SAFETY(contract): called under the slot lock while the job is still
-// published, so the caller's initial reference keeps `ctx` alive.
-unsafe fn bounded_enter<F>(ctx: *const ()) {
-    // SAFETY: `ctx` is a live `BoundedCtx<F>` per this fn's contract.
-    let ctx = unsafe { &*(ctx as *const BoundedCtx<F>) };
-    ctx.refs.fetch_add(1, Ordering::Relaxed);
-    ctx.entered.fetch_add(1, Ordering::Release);
-}
-
-// SAFETY(contract): called exactly once per held reference, after the
-// holder's final access; the AcqRel decrement makes the last holder's
-// free happen-after every other participant's accesses.
-unsafe fn bounded_release<F>(ctx: *const ()) {
-    let ptr = ctx as *mut BoundedCtx<F>;
-    // SAFETY: our reference is still held, so `ptr` is alive for the
-    // decrement.
-    if unsafe { &*ptr }.refs.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // SAFETY: the count hit zero, so we are the last holder: nobody
-        // else can touch `ptr` again, and it was created by
-        // `Box::into_raw`, so reconstituting the box frees it exactly
-        // once.
-        drop(unsafe { Box::from_raw(ptr) });
-    }
-}
-
-/// A [`ShardPool::run_bounded`] job whose workers did not all check in
-/// within the deadline — typically one wedged inside a shard. The
-/// counters say how far the job got: `completed == shards` with a
-/// missing check-in means the *work* finished but a worker is stuck on
-/// its way out; `completed < shards` means shards are still (or forever)
-/// in flight.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckinTimeout {
-    /// Shards the job was published with.
-    pub shards: usize,
-    /// Shards that ran to completion before the deadline.
-    pub completed: usize,
-    /// Workers that picked the job up.
-    pub entered: usize,
-    /// Workers that checked back in.
-    pub checked_in: usize,
-    /// How long the caller actually waited.
-    pub waited: Duration,
-}
-
-impl std::fmt::Display for CheckinTimeout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "sharded job timed out after {:?}: {}/{} shards completed, \
-             {}/{} entered workers checked in",
-            self.waited, self.completed, self.shards, self.checked_in, self.entered
-        )
-    }
-}
-
-impl std::error::Error for CheckinTimeout {}
 
 impl Drop for ShardPool {
     fn drop(&mut self) {
@@ -690,94 +448,6 @@ mod tests {
                 fill(first_row, band);
             });
             assert_eq!(clean, reference, "round {round}: capture after a fault diverged");
-        }
-    }
-
-    #[test]
-    fn bounded_run_completes_within_a_generous_deadline() {
-        let pool = ShardPool::new(3);
-        for round in 0..2 {
-            let hits: Arc<Vec<AtomicUsize>> =
-                Arc::new((0..9).map(|_| AtomicUsize::new(0)).collect());
-            let seen = Arc::clone(&hits);
-            pool.run_bounded(
-                9,
-                move |i| {
-                    seen[i].fetch_add(1, Ordering::Relaxed);
-                },
-                Duration::from_secs(30),
-            )
-            .unwrap();
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "round {round} shard {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_run_times_out_on_a_wedged_worker_then_the_pool_recovers() {
-        // One worker (parallelism 2). Every shard executed *off* the
-        // calling thread wedges for 300 ms; the caller's first shard
-        // spins until the worker has provably taken one, so exactly one
-        // wedge is in flight when the 25 ms check-in deadline expires.
-        let pool = ShardPool::new(2);
-        let caller = std::thread::current().id();
-        let worker_started = Arc::new(AtomicBool::new(false));
-        let started = Arc::clone(&worker_started);
-        let error = pool
-            .run_bounded(
-                8,
-                move |_| {
-                    if std::thread::current().id() == caller {
-                        while !started.load(Ordering::Acquire) {
-                            std::thread::yield_now();
-                        }
-                    } else {
-                        started.store(true, Ordering::Release);
-                        std::thread::sleep(Duration::from_millis(300));
-                    }
-                },
-                Duration::from_millis(25),
-            )
-            .expect_err("a wedged worker must surface as a structured timeout");
-        assert_eq!(error.shards, 8);
-        assert_eq!(error.entered, 1, "the one worker entered the job");
-        assert_eq!(error.checked_in, 0, "and is still wedged in its shard");
-        assert!(error.completed < error.shards, "the wedged shards cannot have completed");
-        assert!(error.waited >= Duration::from_millis(25));
-        let text = error.to_string();
-        assert!(text.contains("timed out") && text.contains("0/1"), "unhelpful error: {text}");
-        // Degraded, not broken: once the wedge clears, the same pool
-        // serves the next bounded job cleanly.
-        let hits = Arc::new((0..4).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
-        let seen = Arc::clone(&hits);
-        pool.run_bounded(
-            4,
-            move |i| {
-                seen[i].fetch_add(1, Ordering::Relaxed);
-            },
-            Duration::from_secs(30),
-        )
-        .unwrap();
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "post-recovery shard {i}");
-        }
-    }
-
-    #[test]
-    fn bounded_run_stays_inline_on_small_jobs_and_empty_pools() {
-        for pool in [ShardPool::new(1), ShardPool::new(4)] {
-            let hits = Arc::new(AtomicUsize::new(0));
-            let seen = Arc::clone(&hits);
-            pool.run_bounded(
-                1,
-                move |_| {
-                    seen.fetch_add(1, Ordering::Relaxed);
-                },
-                Duration::from_nanos(1),
-            )
-            .unwrap();
-            assert_eq!(hits.load(Ordering::Relaxed), 1);
         }
     }
 

@@ -8,7 +8,7 @@
 //!
 //! * **Session slab** ([`ServeEngine`]): fixed slots, each holding one
 //!   session's [`hirise::temporal::TrackerState`], counters-only
-//!   [`hirise::stream::SequenceSummary`], bounded frame queue, and
+//!   [`hirise::SequenceSummary`], bounded frame queue, and
 //!   latency reservoir. Workers bring their own
 //!   [`hirise::PipelineScratch`] (frame-local on every path), so the
 //!   steady state serves frames with zero heap allocations — the same

@@ -78,38 +78,6 @@ impl LatencyReservoir {
     pub fn p99(&self) -> f64 {
         self.percentile(99.0)
     }
-
-    /// Serializes the ring (window, eviction cursor, lifetime count,
-    /// samples) into an open snapshot envelope.
-    pub(crate) fn encode_into(&self, enc: &mut hirise::recover::Encoder) {
-        enc.u64(self.window as u64);
-        enc.u64(self.head as u64);
-        enc.u64(self.recorded);
-        enc.seq(self.samples.len());
-        for &sample in &self.samples {
-            enc.f64(sample);
-        }
-    }
-
-    /// Reads a ring written by [`LatencyReservoir::encode_into`].
-    pub(crate) fn decode_from(
-        dec: &mut hirise::recover::Decoder<'_>,
-    ) -> std::result::Result<Self, hirise::RecoverError> {
-        let window = dec.u64()? as usize;
-        let head = dec.u64()? as usize;
-        let recorded = dec.u64()?;
-        let len = dec.seq(8)?;
-        if len > window || head >= window.max(1) {
-            return Err(hirise::RecoverError::malformed(format!(
-                "latency ring: {len} samples / cursor {head} in a window of {window}"
-            )));
-        }
-        let mut samples = Vec::with_capacity(window);
-        for _ in 0..len {
-            samples.push(dec.f64()?);
-        }
-        Ok(Self { samples, head, window, recorded })
-    }
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample set: the

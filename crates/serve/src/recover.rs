@@ -11,9 +11,10 @@
 //!   through the checksummed [`hirise::recover`] envelope — per-session
 //!   tracker state (as [`hirise::temporal::TrackerCheckpoint`]s, the
 //!   live state plus the quarantine recovery anchor), counters-only
-//!   [`hirise::stream::SequenceSummary`], queued frame stamps, shed /
-//!   priority / watchdog state, latency rings, free-list order, and the
-//!   engine counters;
+//!   [`hirise::SequenceSummary`], queued frame stamps, shed / priority /
+//!   watchdog state, free-list order, and the engine counters. Latency
+//!   reservoirs and percentiles are telemetry, not state: they are left
+//!   out, so two identical runs snapshot to identical bytes;
 //! * an [`ArrivalJournal`]: an append-only record of **admission events
 //!   and tick boundaries only**. Frames are never journaled — arrivals
 //!   are pure in the traffic seed, so replay regenerates them through
@@ -41,8 +42,8 @@
 //! [`replay_from`]: ServeEngine::replay_from
 
 use hirise::recover::{fnv1a64, Decoder, Encoder};
-use hirise::stream::SequenceSummary;
-use hirise::{HiriseError, RecoverError};
+use hirise::summary::StreamAggregate;
+use hirise::{HiriseError, RecoverError, SequenceSummary, StageTimings};
 
 use crate::engine::{AdmitError, ServeConfig, ServeEngine, ServeError, SessionId};
 use crate::session::{FrameSource, Session, SessionReport, SessionSpec};
@@ -54,7 +55,7 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"HRSN";
 /// Journal envelope magic ("HiRise JourNaL").
 const JOURNAL_MAGIC: [u8; 4] = *b"HRJL";
 /// Shared format version of both artifacts.
-const FORMAT_VERSION: u16 = 1;
+const FORMAT_VERSION: u16 = 2;
 
 /// Rebuilds a session's frame source from its spec — the serializable
 /// stand-in for the sources themselves, which may hold closures. Must
@@ -242,12 +243,10 @@ pub(crate) fn decode_spec(dec: &mut Decoder<'_>) -> Result<SessionSpec, RecoverE
     })
 }
 
-/// Encodes the counters-only projection of a [`SequenceSummary`] — the
-/// same projection sessions maintain (report capacity 0): frame-kind
-/// counters, aggregate totals, and the per-kind energy fold. Wall-clock
+/// Encodes the counters of a [`SequenceSummary`]: frame-kind counters,
+/// aggregate totals, and the per-kind energy fold. Wall-clock
 /// stage timings are deliberately dropped (they are not part of any
-/// determinism contract), as are retained reports (structurally empty
-/// at capacity 0).
+/// determinism contract).
 pub(crate) fn encode_summary(summary: &SequenceSummary, enc: &mut Encoder) {
     enc.u64(summary.frames);
     enc.u64(summary.keyframes);
@@ -265,23 +264,30 @@ pub(crate) fn encode_summary(summary: &SequenceSummary, enc: &mut Encoder) {
 }
 
 pub(crate) fn decode_summary(dec: &mut Decoder<'_>) -> Result<SequenceSummary, RecoverError> {
-    let mut summary = SequenceSummary::with_report_capacity(0);
-    summary.frames = dec.u64()?;
-    summary.keyframes = dec.u64()?;
-    summary.drift_refreshes = dec.u64()?;
-    summary.tracked_frames = dec.u64()?;
-    summary.aggregate.conversions = dec.u64()?;
-    summary.aggregate.pooling_outputs = dec.u64()?;
-    summary.aggregate.transfer_bits = dec.u64()?;
-    summary.aggregate.rois = dec.u64()?;
-    summary.aggregate.peak_image_bytes = dec.u64()?;
-    summary.energy_mj = dec.f64()?;
-    summary.energy_mj_keyframes = dec.f64()?;
-    summary.energy_mj_drift = dec.f64()?;
-    summary.energy_mj_tracked = dec.f64()?;
-    Ok(summary)
+    // Struct-literal fields evaluate in the order written, which is the
+    // encode order.
+    Ok(SequenceSummary {
+        frames: dec.u64()?,
+        keyframes: dec.u64()?,
+        drift_refreshes: dec.u64()?,
+        tracked_frames: dec.u64()?,
+        aggregate: StreamAggregate {
+            conversions: dec.u64()?,
+            pooling_outputs: dec.u64()?,
+            transfer_bits: dec.u64()?,
+            rois: dec.u64()?,
+            peak_image_bytes: dec.u64()?,
+        },
+        energy_mj: dec.f64()?,
+        energy_mj_keyframes: dec.f64()?,
+        energy_mj_drift: dec.f64()?,
+        energy_mj_tracked: dec.f64()?,
+        stage_totals: StageTimings::default(),
+    })
 }
 
+/// Encodes a completed session's report without its latency fields
+/// (telemetry, not state); [`decode_report`] restores them empty.
 fn encode_report(report: &SessionReport, enc: &mut Encoder) {
     enc.u64(report.id.0);
     enc.str(&report.name);
@@ -295,12 +301,6 @@ fn encode_report(report: &SessionReport, enc: &mut Encoder) {
     enc.u64(report.recoveries);
     enc.u32(report.max_recovery_frames);
     enc.u64(report.deadline_misses);
-    enc.f64(report.p50_ms);
-    enc.f64(report.p99_ms);
-    enc.seq(report.latency_ms.len());
-    for &sample in &report.latency_ms {
-        enc.f64(sample);
-    }
     encode_summary(&report.summary, enc);
 }
 
@@ -317,13 +317,6 @@ fn decode_report(dec: &mut Decoder<'_>) -> Result<SessionReport, RecoverError> {
     let recoveries = dec.u64()?;
     let max_recovery_frames = dec.u32()?;
     let deadline_misses = dec.u64()?;
-    let p50_ms = dec.f64()?;
-    let p99_ms = dec.f64()?;
-    let samples = dec.seq(8)?;
-    let mut latency_ms = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        latency_ms.push(dec.f64()?);
-    }
     let summary = decode_summary(dec)?;
     Ok(SessionReport {
         id,
@@ -338,9 +331,9 @@ fn decode_report(dec: &mut Decoder<'_>) -> Result<SessionReport, RecoverError> {
         recoveries,
         max_recovery_frames,
         deadline_misses,
-        p50_ms,
-        p99_ms,
-        latency_ms,
+        p50_ms: 0.0,
+        p99_ms: 0.0,
+        latency_ms: Vec::new(),
         summary,
     })
 }

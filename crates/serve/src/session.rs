@@ -3,7 +3,7 @@
 //!
 //! A session is the unit of multi-tenancy. Everything a session needs
 //! across frames lives here — [`hirise::temporal::TrackerState`], the
-//! running [`SequenceSummary`] (counters only, no per-frame retention),
+//! running [`SequenceSummary`] (counters only),
 //! the [`LatencyReservoir`], and the bounded frame queue — so the
 //! engine's slab slot is self-contained and a slot can be served by any
 //! worker with any [`hirise::PipelineScratch`] (the scratch is
@@ -19,9 +19,8 @@ use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use hirise::stream::SequenceSummary;
 use hirise::temporal::{TrackerCheckpoint, TrackerState, TrackingPipeline};
-use hirise::{PipelineScratch, Result, RgbImage};
+use hirise::{PipelineScratch, Result, RgbImage, SequenceSummary};
 use hirise_scene::ScenarioGenerator;
 
 use crate::engine::{ServeConfig, ServeError, SessionId};
@@ -269,9 +268,7 @@ impl Session {
             source,
             tracker,
             state: TrackerState::new(),
-            // Counters and energy only — a service holding thousands of
-            // sessions cannot retain per-frame reports.
-            summary: SequenceSummary::with_report_capacity(0),
+            summary: SequenceSummary::default(),
             latency: LatencyReservoir::new(config.latency_window),
             queue: FrameQueue::new(config.queue_capacity),
             next_frame: 0,
@@ -392,7 +389,7 @@ impl Session {
                 self.watchdog_boost = 0;
             }
         }
-        self.summary.fold(&report, false);
+        self.summary.fold(&report);
         self.served += 1;
         if report.kind.ran_detection() {
             // A detection frame both completes any in-flight recovery
@@ -447,7 +444,9 @@ impl Session {
     /// projection quarantine recovery uses — per-frame association
     /// buffers are rebuilt on the next frame anyway), alongside the
     /// separate recovery-anchor checkpoint, which may lag it by up to
-    /// one keyframe interval.
+    /// one keyframe interval. The latency reservoir is telemetry, not
+    /// state: it is left out, so the bytes are a pure function of the
+    /// inputs.
     pub(crate) fn encode_into(&self, enc: &mut hirise::recover::Encoder) {
         crate::recover::encode_spec(&self.spec, enc);
         enc.u64(self.id.0);
@@ -456,7 +455,6 @@ impl Session {
         live.encode_into(enc);
         self.checkpoint.encode_into(enc);
         crate::recover::encode_summary(&self.summary, enc);
-        self.latency.encode_into(enc);
         enc.seq(self.queue.len);
         for k in 0..self.queue.len {
             let (frame, level) =
@@ -486,7 +484,8 @@ impl Session {
     /// frame source is not serializable (it may hold a closure), so
     /// `source_for` regenerates it from the decoded spec — sources are
     /// pure in `(spec, seed)`, which is what makes the rebuilt session
-    /// serve bit-identical frames.
+    /// serve bit-identical frames. The rebuilt session starts an empty
+    /// latency window.
     pub(crate) fn decode_from(
         dec: &mut hirise::recover::Decoder<'_>,
         config: &ServeConfig,
@@ -498,7 +497,6 @@ impl Session {
         let live = TrackerCheckpoint::decode_from(dec)?;
         let anchor = TrackerCheckpoint::decode_from(dec)?;
         let summary = crate::recover::decode_summary(dec)?;
-        let latency = LatencyReservoir::decode_from(dec)?;
         let queued = dec.seq(5)?;
         if queued > config.queue_capacity {
             return Err(hirise::RecoverError::malformed(format!(
@@ -558,7 +556,6 @@ impl Session {
         }
         session.checkpoint = anchor;
         session.summary = summary;
-        session.latency = latency;
         Ok(session)
     }
 

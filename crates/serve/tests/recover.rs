@@ -456,3 +456,40 @@ fn crash_during_a_quarantine_recovery_window_still_converges() {
         assert_fleet_identical(&chaos, &summary, &label);
     }
 }
+
+#[test]
+fn identical_runs_snapshot_to_identical_bytes() {
+    // Snapshots hold state, never telemetry: wall-clock latency differs
+    // between two runs of the same fleet, so any measured value in the
+    // envelope would make identical runs snapshot differently. Checked
+    // mid-run (live sessions, snapshot every tick, stop at tick 5) and
+    // after the fleet drains (completed session reports).
+    let plans = hirise_serve::generate(&TrafficConfig::default().sessions(4).seed(7));
+    let snapshot_at = |crash_tick: Option<u64>| {
+        let mut engine = ServeEngine::new(serve_config(4)).unwrap();
+        let mut journal = ArrivalJournal::new();
+        let outcome = run_plans_journaled(
+            &mut engine,
+            &plans,
+            &factory,
+            &mut journal,
+            1,
+            None,
+            &mut |tick| Some(tick) == crash_tick,
+        )
+        .unwrap();
+        assert_eq!(outcome.crashed_at, crash_tick);
+        match crash_tick {
+            Some(_) => outcome.snapshot.expect("a snapshot every tick").into_bytes(),
+            None => {
+                assert!(engine.summary().sessions.iter().all(|s| !s.latency_ms.is_empty()));
+                engine.snapshot().into_bytes()
+            }
+        }
+    };
+    for crash_tick in [Some(5), None] {
+        let (a, b) = (snapshot_at(crash_tick), snapshot_at(crash_tick));
+        assert_eq!(a.len(), b.len(), "crash tick {crash_tick:?}: snapshot lengths differ");
+        assert!(a == b, "crash tick {crash_tick:?}: identical runs snapshot to different bytes");
+    }
+}

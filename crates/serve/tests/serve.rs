@@ -27,11 +27,11 @@ fn clip(frames: u32, phase: u32) -> Vec<RgbImage> {
         .collect()
 }
 
-fn pipeline_config() -> HiriseConfig {
+fn pipeline_config(sensor: SensorConfig) -> HiriseConfig {
     let detector = hirise::DetectorConfig { score_threshold: 0.2, ..Default::default() };
     HiriseConfig::builder(W, H)
         .pooling(2)
-        .sensor(SensorConfig::noiseless())
+        .sensor(sensor)
         .detector(detector)
         .max_rois(4)
         .roi_margin(4)
@@ -40,7 +40,7 @@ fn pipeline_config() -> HiriseConfig {
 }
 
 fn serve_config(rated: usize) -> ServeConfig {
-    ServeConfig::new(pipeline_config())
+    ServeConfig::new(pipeline_config(SensorConfig::noiseless()))
         .temporal(TemporalConfig::default().keyframe_interval(4).drift_threshold(1.0))
         .rated_sessions(rated)
         .max_sessions(4 * rated)
@@ -178,12 +178,15 @@ fn admission_cap_refuses_at_the_door() {
     assert_eq!(engine.summary().rejected, 2, "\"c\" and \"d\" both hit the cap");
 }
 
-/// Runs the same overloaded fleet under a given serve driver and
-/// returns the per-session summaries in admission order.
+/// Runs the same overloaded fleet on `sensor` under a given serve
+/// driver and returns the per-session summaries in admission order.
 fn run_fleet_with(
+    sensor: SensorConfig,
     drive: impl Fn(&mut ServeEngine) -> Result<u64, hirise_serve::ServeError>,
 ) -> hirise_serve::ServeSummary {
-    let mut engine = ServeEngine::new(serve_config(4)).unwrap();
+    let mut config = serve_config(4);
+    config.pipeline = pipeline_config(sensor);
+    let mut engine = ServeEngine::new(config).unwrap();
     admit_fleet(&mut engine, 8, 10);
     loop {
         engine.tick();
@@ -201,20 +204,37 @@ fn per_session_outputs_are_invariant_to_worker_count() {
     // outputs are bit-identical whether the slab is drained serially or
     // by any number of shard workers. Shed levels were stamped at
     // enqueue, sessions share no mutable state, and the sensor noise is
-    // position-keyed — nothing observes the scheduling.
-    let serial = run_fleet_with(|e| e.serve(u64::MAX));
-    assert_eq!(serial.max_shed_level, 3, "fleet must be overloaded for the test to bite");
-    for workers in [1, 2, 4] {
-        let parallel = run_fleet_with(|e| e.serve_parallel(workers));
-        assert_eq!(parallel.sessions.len(), serial.sessions.len());
-        for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
-            assert_eq!(p.id, s.id);
-            assert_eq!(p.summary, s.summary, "session {} diverged at {workers} workers", s.name);
-            assert_eq!(p.max_shed_level, s.max_shed_level);
-            assert_eq!(p.deferred, s.deferred);
+    // position-keyed — nothing observes the scheduling. The noisy
+    // keyed sensor is checked at two capture shard counts, all against
+    // the unsharded serial run.
+    let noisy = SensorConfig::default(); // keyed noise is the default
+    let inputs = [
+        ("noiseless", vec![SensorConfig::noiseless()]),
+        ("noisy keyed", vec![noisy, SensorConfig { shards: 2, ..noisy }]),
+    ];
+    for (input, sensors) in &inputs {
+        let serial = run_fleet_with(sensors[0], |e| e.serve(u64::MAX));
+        assert_eq!(serial.max_shed_level, 3, "fleet must be overloaded for the test to bite");
+        assert!(serial.sessions.iter().all(|s| s.summary.aggregate.rois > 0), "{input}: no ROIs");
+        for &sensor in sensors {
+            let shards = sensor.shards;
+            for workers in [1, 2, 4] {
+                let parallel = run_fleet_with(sensor, |e| e.serve_parallel(workers));
+                assert_eq!(parallel.sessions.len(), serial.sessions.len());
+                for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
+                    assert_eq!(p.id, s.id);
+                    assert_eq!(
+                        p.summary, s.summary,
+                        "{input}: session {} diverged at {workers} workers / {shards} shards",
+                        s.name
+                    );
+                    assert_eq!(p.max_shed_level, s.max_shed_level);
+                    assert_eq!(p.deferred, s.deferred);
+                }
+                assert_eq!(parallel.frames, serial.frames);
+                assert_eq!(parallel.energy_mj, serial.energy_mj);
+            }
         }
-        assert_eq!(parallel.frames, serial.frames);
-        assert_eq!(parallel.energy_mj, serial.energy_mj);
     }
 }
 

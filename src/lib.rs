@@ -10,7 +10,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`hirise`] | the core two-stage pipeline, configuration, analytics, streaming executor |
+//! | [`hirise`] | the core two-stage pipeline, configuration, analytics, temporal tracking |
 //! | [`hirise_analog`] | SPICE-like circuit simulation of the pooling circuit |
 //! | [`hirise_sensor`] | behavioural pixel array, ADC, selective ROI readout |
 //! | [`hirise_imaging`] | image buffers, scaling, drawing, PPM/PGM IO |

@@ -4,13 +4,15 @@
 //! reference, key independence across adjacent sites, and the
 //! order-independence guarantees — row-sharded keyed capture/pool is
 //! bit-identical to the single-threaded path, and noise modes agree
-//! exactly when no noise is drawn.
+//! exactly when no noise is drawn, and a noisy keyed stream served as
+//! sessions folds to the same bits at every worker and shard count.
 
 use hirise::{
     ColorMode, HiriseConfig, HirisePipeline, NoiseRngMode, Rect, RgbImage, Sensor, SensorConfig,
 };
 use hirise_imaging::draw;
 use hirise_sensor::pooling::gaussian;
+use hirise_serve::{FrameSource, ServeConfig, ServeEngine, SessionSpec};
 use rand::distributions::{fill_normals, NormalSampler};
 use rand::rngs::{KeyedRng, StdRng};
 use rand::SeedableRng;
@@ -80,17 +82,20 @@ fn scene_with_objects(w: u32, h: u32) -> RgbImage {
     img
 }
 
-fn pipeline(shards: u32, mode: NoiseRngMode) -> HirisePipeline {
+fn config(shards: u32, mode: NoiseRngMode) -> HiriseConfig {
     let detector = hirise::DetectorConfig { score_threshold: 0.2, ..Default::default() };
-    let config = HiriseConfig::builder(96, 64)
+    HiriseConfig::builder(96, 64)
         .pooling(2)
         .detector(detector)
         .max_rois(4)
         .noise_rng(mode)
         .sensor_shards(shards)
         .build()
-        .unwrap();
-    HirisePipeline::new(config)
+        .unwrap()
+}
+
+fn pipeline(shards: u32, mode: NoiseRngMode) -> HirisePipeline {
+    HirisePipeline::new(config(shards, mode))
 }
 
 #[test]
@@ -163,11 +168,9 @@ fn keyed_noise_statistics_match_the_sequential_model() {
 
 #[test]
 fn keyed_stream_summary_is_worker_and_shard_invariant() {
-    use hirise::stream::{StreamConfig, StreamExecutor, StreamOrdering};
-
-    // The strengthened Deterministic guarantee: a noisy keyed stream
-    // folds to the same bits for every (worker count, shard count)
-    // combination.
+    // The Deterministic guarantee: a noisy keyed stream, served as
+    // sessions on an unshed engine, folds to the same bits for every
+    // (worker count, shard count) combination.
     let frames: Vec<RgbImage> = (0..6)
         .map(|i| {
             let mut img = scene_with_objects(96, 64);
@@ -176,28 +179,36 @@ fn keyed_stream_summary_is_worker_and_shard_invariant() {
             img
         })
         .collect();
-    let reference = StreamExecutor::new(
-        pipeline(1, NoiseRngMode::Keyed),
-        StreamConfig::default().workers(1).batch_size(2).ordering(StreamOrdering::Deterministic),
-    )
-    .unwrap()
-    .run(&frames)
-    .unwrap();
-    assert!(reference.aggregate.rois > 0);
+    let run = |workers: usize, shards: u32| {
+        let serve = ServeConfig::new(config(shards, NoiseRngMode::Keyed)).rated_sessions(4);
+        let mut engine = ServeEngine::new(serve).unwrap();
+        for (i, chunk) in frames.chunks(2).enumerate() {
+            let spec = SessionSpec::default().name(format!("s{i}")).frames(2).frames_per_tick(1);
+            engine.admit(spec, FrameSource::Frames(chunk.to_vec())).unwrap();
+        }
+        loop {
+            engine.tick();
+            if engine.active_sessions() == 0 {
+                return engine.summary();
+            }
+            engine.serve_parallel(workers).unwrap();
+        }
+    };
+    let reference = run(1, 1);
+    assert_eq!(reference.max_shed_level, 0, "the fleet must run unshed");
+    assert_eq!(reference.frames, 6);
+    assert!(reference.sessions.iter().any(|s| s.summary.aggregate.rois > 0));
     for (workers, shards) in [(2, 1), (4, 1), (1, 2), (2, 2), (4, 4)] {
-        let summary = StreamExecutor::new(
-            pipeline(shards, NoiseRngMode::Keyed),
-            StreamConfig::default()
-                .workers(workers)
-                .batch_size(2)
-                .ordering(StreamOrdering::Deterministic),
-        )
-        .unwrap()
-        .run(&frames)
-        .unwrap();
+        let summary = run(workers, shards);
         assert_eq!(summary.frames, reference.frames, "workers={workers} shards={shards}");
-        assert_eq!(summary.aggregate, reference.aggregate, "workers={workers} shards={shards}");
         assert_eq!(summary.energy_mj, reference.energy_mj, "workers={workers} shards={shards}");
-        assert_eq!(summary.reports, reference.reports, "workers={workers} shards={shards}");
+        assert_eq!(summary.sessions.len(), reference.sessions.len());
+        for (s, r) in summary.sessions.iter().zip(&reference.sessions) {
+            assert_eq!(
+                s.summary, r.summary,
+                "workers={workers} shards={shards} session {}",
+                r.name
+            );
+        }
     }
 }

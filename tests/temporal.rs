@@ -1,16 +1,20 @@
 //! Temporal-pipeline integration tests (verification layer 7).
 //!
 //! Covers the cross-frame contracts that unit tests cannot see:
-//! sequence-mode bit-identity across worker *and* sensor-shard counts,
-//! the tracked-mode data-movement savings over per-frame detection, and
-//! the tracking-quality floor (mean tracked-ROI IoU against the
-//! generator's ground-truth tracks) on the committed benchmark scene.
+//! tracked-sequence bit-identity across sensor-shard counts and across
+//! serve-engine worker counts, the tracked-mode data-movement savings
+//! over per-frame detection, and the tracking-quality floor (mean
+//! tracked-ROI IoU against the generator's ground-truth tracks) on the
+//! committed benchmark scene.
 
-use hirise::stream::{StreamConfig, StreamExecutor, StreamOrdering};
 use hirise::temporal::{TrackerState, TrackingPipeline};
-use hirise::{HiriseConfig, HirisePipeline, PipelineScratch, TemporalConfig};
+use hirise::{
+    HiriseConfig, HirisePipeline, PipelineScratch, SequenceSummary, TemporalConfig,
+    TemporalFrameReport,
+};
 use hirise_imaging::RgbImage;
 use hirise_scene::{VideoGenerator, VideoSpec};
+use hirise_serve::{FrameSource, ServeConfig, ServeEngine, SessionSpec};
 
 const W: u32 = 128;
 const H: u32 = 96;
@@ -40,31 +44,63 @@ fn sequences(frames: u32) -> Vec<Vec<RgbImage>> {
         .collect()
 }
 
-fn executor(shards: u32, workers: usize) -> StreamExecutor {
-    StreamExecutor::new(
-        HirisePipeline::new(config(shards)),
-        StreamConfig::default().workers(workers).ordering(StreamOrdering::Deterministic),
-    )
-    .unwrap()
+/// Runs one sequence through a fresh tracker state, returning the
+/// per-frame reports and their frame-ordered fold.
+fn track(
+    tracker: &TrackingPipeline,
+    frames: &[RgbImage],
+) -> (Vec<TemporalFrameReport>, SequenceSummary) {
+    let mut state = TrackerState::new();
+    let mut scratch = PipelineScratch::new();
+    let mut summary = SequenceSummary::default();
+    let reports = frames
+        .iter()
+        .map(|f| {
+            let report = tracker.run_frame(f, &mut state, &mut scratch).unwrap();
+            summary.fold(&report);
+            report
+        })
+        .collect();
+    (reports, summary)
 }
 
 #[test]
 fn sequence_mode_is_bit_identical_across_worker_counts() {
+    // Each video is one serve session on an engine rated above the
+    // fleet, so nothing sheds: every session's summary must equal the
+    // direct single-threaded fold of its video, at any worker count.
     let seqs = sequences(7);
-    let base = executor(1, 1).run_sequences(&seqs, &temporal()).unwrap();
-    assert_eq!(base.sequences.len(), 3);
-    assert_eq!(base.frames(), 21);
-    // Every sequence did real work and produced per-frame reports.
-    for s in &base.sequences {
-        assert_eq!(s.reports.len(), 7);
+    let tracker = TrackingPipeline::new(config(1), temporal()).unwrap();
+    let direct: Vec<SequenceSummary> = seqs.iter().map(|s| track(&tracker, s).1).collect();
+    for s in &direct {
+        assert_eq!(s.frames, 7);
         assert!(s.keyframes >= 3, "interval 3 over 7 frames schedules ≥ 3 keyframes");
     }
-    for workers in [2, 4] {
-        let other = executor(1, workers).run_sequences(&seqs, &temporal()).unwrap();
-        // SequenceStreamSummary equality ignores wall time only, so this
-        // checks counters, ROI counts, transfer bits, frame-ordered
-        // energy folds and every per-frame report bit-for-bit.
-        assert_eq!(other, base, "sequence mode diverged at {workers} workers");
+    for workers in [1, 2, 4] {
+        let mut engine =
+            ServeEngine::new(ServeConfig::new(config(1)).temporal(temporal()).rated_sessions(4))
+                .unwrap();
+        for (i, seq) in seqs.iter().enumerate() {
+            let spec = SessionSpec::default().name(format!("v{i}")).frames(7).frames_per_tick(3);
+            engine.admit(spec, FrameSource::Frames(seq.clone())).unwrap();
+        }
+        loop {
+            engine.tick();
+            if engine.active_sessions() == 0 {
+                break;
+            }
+            engine.serve_parallel(workers).unwrap();
+        }
+        let summary = engine.summary();
+        assert_eq!(summary.max_shed_level, 0, "the fleet must run unshed");
+        assert_eq!(summary.sessions.len(), seqs.len());
+        for (session, want) in summary.sessions.iter().zip(&direct) {
+            assert_eq!(
+                &session.summary, want,
+                "session {} diverged at {workers} workers",
+                session.name
+            );
+        }
     }
 }
 
@@ -72,16 +108,17 @@ fn sequence_mode_is_bit_identical_across_worker_counts() {
 fn sequence_mode_is_bit_identical_across_shard_counts() {
     // Keyed noise is position-pure, so splitting the capture and pooled
     // readout across row shards must not move a single bit of the
-    // tracked sequence output — at any worker count on top.
+    // tracked sequence output: every per-frame report and the folded
+    // summary match the unsharded run.
     let seqs = sequences(6);
-    let base = executor(1, 2).run_sequences(&seqs, &temporal()).unwrap();
-    for shards in [2u32, 4] {
-        for workers in [1usize, 3] {
-            let other = executor(shards, workers).run_sequences(&seqs, &temporal()).unwrap();
-            assert_eq!(
-                other, base,
-                "sequence mode diverged at {shards} shards / {workers} workers"
-            );
+    let base = TrackingPipeline::new(config(1), temporal()).unwrap();
+    let reference: Vec<_> = seqs.iter().map(|s| track(&base, s)).collect();
+    for shards in [2u32, 3, 4] {
+        let tracker = TrackingPipeline::new(config(shards), temporal()).unwrap();
+        for (i, seq) in seqs.iter().enumerate() {
+            let (reports, summary) = track(&tracker, seq);
+            assert_eq!(reports, reference[i].0, "sequence {i} diverged at {shards} shards");
+            assert_eq!(summary, reference[i].1, "sequence {i} summary diverged at {shards} shards");
         }
     }
 }
@@ -186,20 +223,4 @@ fn sequential_noise_mode_tracks_too() {
     let b = run(&mut scratch);
     assert_eq!(a, b);
     assert!(a.iter().any(|r| !r.kind.ran_detection()), "no frame was tracked");
-}
-
-#[test]
-fn sequence_and_still_executors_share_one_executor() {
-    // The same executor instance serves both modes: still frames via
-    // run(), sequences via run_sequences(); neither perturbs the other.
-    let seqs = sequences(5);
-    let executor = executor(1, 2);
-    let stills: Vec<RgbImage> = seqs[0].clone();
-    let still_a = executor.run(&stills).unwrap();
-    let video_summary = executor.run_sequences(&seqs, &temporal()).unwrap();
-    let still_b = executor.run(&stills).unwrap();
-    assert_eq!(still_a.reports, still_b.reports);
-    assert_eq!(video_summary.sequences.len(), 3);
-    // Still mode re-detects every frame; sequence mode must not.
-    assert!(video_summary.detection_fraction() < 1.0);
 }
