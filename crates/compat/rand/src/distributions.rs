@@ -165,15 +165,36 @@ pub mod normal {
         }
 
         /// Draws one standard-normal sample.
+        ///
+        /// The common case (~98.8 %) is branch-free past the layer test:
+        /// the random sign bit is XORed into the IEEE sign instead of
+        /// selecting between `x` and `-x` (the same bits, `-0.0`
+        /// included), because a branch on a fair coin mispredicts half
+        /// the time. Wedge and tail draws go through the cold `slow` loop.
         #[inline]
         pub fn sample<G: RngCore + ?Sized>(&self, rng: &mut G) -> f64 {
             let t = self.t;
+            let bits = rng.next_u64();
+            let i = (bits & 0xFF) as usize;
+            let x = unit(bits) * t.x[i];
+            // Inside the strictly-interior part of the layer: accept.
+            if x < t.x[i + 1] {
+                return f64::from_bits(x.to_bits() ^ ((bits & 0x100) << 55));
+            }
+            self.slow(rng, bits)
+        }
+
+        /// The rejection loop for a first word `bits` that missed its
+        /// layer's interior: the wedge test, the tail, and any redraws.
+        /// Consumes exactly the words the single-loop form would.
+        #[cold]
+        #[inline(never)]
+        fn slow<G: RngCore + ?Sized>(&self, rng: &mut G, mut bits: u64) -> f64 {
+            let t = self.t;
             loop {
-                let bits = rng.next_u64();
                 let i = (bits & 0xFF) as usize;
                 let neg = bits & 0x100 != 0;
                 let x = unit(bits) * t.x[i];
-                // Inside the strictly-interior part of the layer: accept.
                 if x < t.x[i + 1] {
                     return if neg { -x } else { x };
                 }
@@ -185,6 +206,7 @@ pub mod normal {
                 if t.f[i + 1] + y * (t.f[i] - t.f[i + 1]) < pdf(x) {
                     return if neg { -x } else { x };
                 }
+                bits = rng.next_u64();
             }
         }
 
@@ -269,6 +291,112 @@ pub mod normal {
             assert!(skew.abs() < 0.03, "third moment {skew}");
             // P(|X| > 3) = 0.002700 for a standard normal.
             assert!((tail - 0.0027).abs() < 0.0012, "3-sigma tail {tail}");
+        }
+
+        /// The single-loop sampler as it stood before the branch-free
+        /// fast path — the frozen reference the fast path must match
+        /// bit for bit.
+        fn reference_sample<G: RngCore + ?Sized>(t: &Tables, rng: &mut G) -> f64 {
+            loop {
+                let bits = rng.next_u64();
+                let i = (bits & 0xFF) as usize;
+                let neg = bits & 0x100 != 0;
+                let x = unit(bits) * t.x[i];
+                if x < t.x[i + 1] {
+                    return if neg { -x } else { x };
+                }
+                if i == 0 {
+                    return NormalSampler::tail(rng, neg);
+                }
+                let y = unit(rng.next_u64());
+                if t.f[i + 1] + y * (t.f[i] - t.f[i + 1]) < pdf(x) {
+                    return if neg { -x } else { x };
+                }
+            }
+        }
+
+        /// Replays a fixed word sequence, counting the words consumed.
+        struct Scripted<'a> {
+            words: &'a [u64],
+            used: usize,
+        }
+
+        impl RngCore for Scripted<'_> {
+            fn next_u32(&mut self) -> u32 {
+                (self.next_u64() >> 32) as u32
+            }
+
+            fn next_u64(&mut self) -> u64 {
+                let w = self.words[self.used];
+                self.used += 1;
+                w
+            }
+        }
+
+        #[test]
+        fn fast_path_matches_the_frozen_reference_on_keyed_sites() {
+            use crate::rngs::KeyedRng;
+            let sampler = NormalSampler::new();
+            let key = KeyedRng::derive_key(0x5EED, 3);
+            let mut slow_paths = 0u32;
+            for site in 0..1_000_000u64 {
+                // Two draws per site, as the sensor's read + ADC noise.
+                let mut fast = KeyedRng::for_stream(key, site);
+                let mut frozen = fast.clone();
+                for _ in 0..2 {
+                    let a = sampler.sample(&mut fast);
+                    let b = reference_sample(sampler.t, &mut frozen);
+                    assert_eq!(a.to_bits(), b.to_bits(), "site {site}: {a} vs {b}");
+                }
+                // Equal generator states: the same words were consumed.
+                assert_eq!(fast, frozen, "site {site} consumed a different word count");
+                let mut two_words = KeyedRng::for_stream(key, site);
+                two_words.next_u64();
+                two_words.next_u64();
+                slow_paths += u32::from(fast != two_words);
+            }
+            // ~1.2 % of draws (~2.4 % of two-draw sites) leave the fast
+            // path; the sweep must reach it.
+            assert!(slow_paths > 10_000, "only {slow_paths} sites took the slow path");
+        }
+
+        #[test]
+        fn fast_path_matches_the_frozen_reference_on_scripted_words() {
+            let sampler = NormalSampler::new();
+            let t = sampler.t;
+            const NEG: u64 = 0x100;
+            let top = !0x1FFu64; // maximal mantissa, layer 0, positive
+            let scripts: [(&str, &[u64]); 7] = [
+                // Zero mantissa: ±0.0 from the fast path.
+                ("+0.0", &[0]),
+                ("-0.0", &[NEG]),
+                // Layer 0 beyond R: the tail (two words per attempt).
+                ("tail +", &[top, 1 << 63, 1 << 40]),
+                ("tail -", &[top | NEG, 1 << 63, 1 << 40]),
+                // Layer 255 never passes the interior test (x[256] = 0):
+                // a wedge test always follows. y ≈ 1 accepts ...
+                ("wedge accept", &[(1 << 62) | 0xFF | NEG, u64::MAX]),
+                // ... y = 0 rejects, and the redraw takes the fast path.
+                ("wedge reject", &[(1 << 62) | 0xFF, 0, (1 << 40) | 7 | NEG]),
+                // A rejected wedge followed by a tail.
+                ("wedge then tail", &[(1 << 62) | 0xFF, 0, top, 1 << 63, 1 << 40]),
+            ];
+            for (name, words) in scripts {
+                let mut a = Scripted { words, used: 0 };
+                let mut b = Scripted { words, used: 0 };
+                let fast = sampler.sample(&mut a);
+                let frozen = reference_sample(t, &mut b);
+                assert_eq!(fast.to_bits(), frozen.to_bits(), "{name}: {fast} vs {frozen}");
+                assert_eq!(a.used, words.len(), "{name}: script not fully consumed");
+                assert_eq!(b.used, words.len(), "{name}: reference consumed differently");
+            }
+            // The scripts reach the branches they are named for.
+            let draw = |words: &[u64]| sampler.sample(&mut Scripted { words, used: 0 });
+            assert_eq!(draw(&[NEG]).to_bits(), (-0.0f64).to_bits());
+            assert!(unit(top) * t.x[0] >= R);
+            assert!(draw(&[top, 1 << 63, 1 << 40]) > R);
+            assert!(draw(&[top | NEG, 1 << 63, 1 << 40]) < -R);
+            assert!(draw(&[(1 << 62) | 0xFF | NEG, u64::MAX]) < 0.0);
         }
 
         #[test]

@@ -117,13 +117,7 @@ impl Adc {
 
     /// Converts without noise (deterministic path for tests/calibration).
     pub fn convert_ideal(&self, v: f64) -> u16 {
-        struct NoRng;
-        // Noise is only drawn when noise_sigma > 0, so a disabled copy is
-        // the cheapest deterministic path.
-        let _ = NoRng;
-        let quiet = Self { noise_sigma: 0.0, ..self.clone() };
-        let mut rng = rand::rngs::mock::StepRng::new(0, 0);
-        quiet.convert(v, &mut rng)
+        self.quantise(v)
     }
 
     /// Maps a code back to the unit interval `0.0..=1.0`.

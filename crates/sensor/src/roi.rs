@@ -23,6 +23,7 @@ use crate::array::PixelArray;
 use crate::noise::{self, domain};
 use crate::pooling::gaussian;
 use crate::sensor::ReadoutStats;
+use crate::shard::{shard_rows, ShardPool};
 use crate::{Result, SensorError};
 
 /// Number of 16-bit words used to encode one bounding box (x, y, w, h) in
@@ -89,46 +90,52 @@ pub fn convert_roi_into<R: Rng + ?Sized>(
     }
 }
 
-/// Position-keyed digitisation of one ROI: every sub-pixel's noise is a
-/// pure function of its **absolute** array coordinates (and the per-
-/// readout key), so the crop's values do not depend on which other boxes
-/// were requested, on readout order, or on the box offsets — overlapping
-/// boxes read in one operation see identical pixel values, mirroring the
-/// paper's convert-the-union-once address encoder.
-pub(crate) fn convert_roi_keyed_into(
-    array: &PixelArray,
-    rect: Rect,
-    adc: &Adc,
+/// Position-keyed digitisation of one run of sub-pixels: `src` holds the
+/// voltages of consecutive sites starting at flat stream site `site0`.
+/// Every value is a pure function of its **absolute** array position and
+/// the per-readout key, so it does not depend on which other boxes were
+/// requested, on readout order, or on the box offsets.
+fn convert_run_keyed(
+    src: &[f32],
+    dst: &mut [f32],
+    site0: u64,
     key: u64,
+    adc: &Adc,
+    read_noise: f64,
     sampler: &NormalSampler,
-    out: &mut RgbImage,
 ) {
-    let params = array.params();
-    let read_noise = params.read_noise;
     let adc_sigma = adc.noise_sigma();
-    let sites = array.width() as u64 * array.height() as u64;
-    let aw = array.width() as u64;
-    let (x0, w) = (rect.x as usize, rect.w as usize);
-    out.reshape_for_overwrite(rect.w, rect.h);
-    for (ch, plane) in out.planes_mut().into_iter().enumerate() {
-        let src = array.plane(ch);
-        let ch_base = ch as u64 * sites;
-        for (dy, dst_row) in plane.rows_mut().enumerate() {
-            let y = rect.y + dy as u32;
-            let src_row = &src.row(y)[x0..x0 + w];
-            let row_base = ch_base + y as u64 * aw + rect.x as u64;
-            for (dx, (&sv, o)) in src_row.iter().zip(dst_row.iter_mut()).enumerate() {
-                let mut rng =
-                    KeyedRng::for_stream(key, noise::stream(domain::ROI, row_base + dx as u64));
-                let mut v = sv as f64;
-                if read_noise > 0.0 {
-                    v += read_noise * sampler.sample(&mut rng);
-                }
-                let g = if adc_sigma > 0.0 { sampler.sample(&mut rng) } else { 0.0 };
-                *o = adc.code_to_unit(adc.convert_with_noise(v, g));
+    for (dx, (&sv, o)) in src.iter().zip(dst.iter_mut()).enumerate() {
+        let mut rng = KeyedRng::for_stream(key, noise::stream(domain::ROI, site0 + dx as u64));
+        let mut v = sv as f64;
+        if read_noise > 0.0 {
+            v += read_noise * sampler.sample(&mut rng);
+        }
+        let g = if adc_sigma > 0.0 { sampler.sample(&mut rng) } else { 0.0 };
+        *o = adc.code_to_unit(adc.convert_with_noise(v, g));
+    }
+}
+
+/// The run of row `y` that starts at column `x` and ends by `right`:
+/// `(Some(i), end)` when earlier crop `i` holds columns `x..end` (the
+/// covering crop that reaches furthest), else `(None, end)` for a gap to
+/// convert, ending at the next earlier crop's left edge.
+fn next_run(earlier: &[Rect], y: u32, x: u32, right: u32) -> (Option<usize>, u32) {
+    let (mut cover, mut end) = (None, right);
+    for (i, r) in earlier.iter().enumerate() {
+        if y < r.y || y >= r.bottom() {
+            continue;
+        }
+        if r.x <= x && x < r.right() {
+            if cover.is_none() || r.right() > end {
+                cover = Some(i);
+                end = r.right();
             }
+        } else if r.x > x && cover.is_none() {
+            end = end.min(r.x);
         }
     }
+    (cover, end.min(right))
 }
 
 /// Keyed counterpart of [`read_roi`]; accounting is identical.
@@ -141,18 +148,11 @@ pub(crate) fn read_roi_keyed(
     rect: Rect,
     adc: &Adc,
     key: u64,
+    shards: usize,
+    shard_pool: Option<&ShardPool>,
 ) -> Result<(RgbImage, ReadoutStats)> {
-    check_roi(array, rect)?;
-    let sampler = NormalSampler::new();
-    let mut img = RgbImage::new(rect.w, rect.h);
-    convert_roi_keyed_into(array, rect, adc, key, &sampler, &mut img);
-    let area = rect.area();
-    let stats = ReadoutStats {
-        conversions: 3 * area,
-        transferred_bits: 3 * area * adc.bits() as u64,
-        box_words_bits: WORDS_PER_BOX * WORD_BITS,
-    };
-    Ok((img, stats))
+    let (mut images, stats) = read_rois_keyed(array, &[rect], adc, key, shards, shard_pool)?;
+    Ok((images.pop().expect("one box reads one crop"), stats))
 }
 
 /// Keyed counterpart of [`read_rois`]: one key covers the whole batch,
@@ -166,30 +166,34 @@ pub(crate) fn read_rois_keyed(
     rects: &[Rect],
     adc: &Adc,
     key: u64,
+    shards: usize,
+    shard_pool: Option<&ShardPool>,
 ) -> Result<(Vec<RgbImage>, ReadoutStats)> {
-    for &r in rects {
-        check_roi(array, r)?;
-    }
-    let sampler = NormalSampler::new();
-    let images: Vec<RgbImage> = rects
-        .iter()
-        .map(|&r| {
-            let mut img = RgbImage::new(r.w, r.h);
-            convert_roi_keyed_into(array, r, adc, key, &sampler, &mut img);
-            img
-        })
-        .collect();
-    let stats = ReadoutStats {
-        conversions: 3 * union_area(rects),
-        transferred_bits: 3 * sum_area(rects) * adc.bits() as u64,
-        box_words_bits: rects.len() as u64 * WORDS_PER_BOX * WORD_BITS,
-    };
+    let mut images = Vec::with_capacity(rects.len());
+    let stats = read_rois_keyed_into(
+        array,
+        rects,
+        adc,
+        key,
+        shards,
+        shard_pool,
+        &mut images,
+        &mut FramePool::new(),
+        &mut UnionScratch::new(),
+    )?;
     Ok((images, stats))
 }
 
 /// Keyed counterpart of [`read_rois_into`]: same buffer-recycling
-/// contract, keyed noise. Bit-identical to [`read_rois_keyed`] for the
-/// same key.
+/// contract, keyed noise, and the one keyed ROI conversion kernel.
+///
+/// Each physical sub-pixel is converted once, as the paper's address
+/// encoder does: crop `j` copies the runs an earlier crop `i < j`
+/// already holds (keyed values are a pure function of position, so the
+/// copy is exact) and converts only the gaps. Crops are filled in order;
+/// the rows of each crop plane are split over `shards` bands on
+/// `shard_pool` (inline without one), and the output is identical at
+/// every shard count.
 ///
 /// # Errors
 ///
@@ -201,6 +205,8 @@ pub(crate) fn read_rois_keyed_into(
     rects: &[Rect],
     adc: &Adc,
     key: u64,
+    shards: usize,
+    shard_pool: Option<&ShardPool>,
     images: &mut Vec<RgbImage>,
     pool: &mut FramePool,
     union: &mut UnionScratch,
@@ -209,16 +215,58 @@ pub(crate) fn read_rois_keyed_into(
         check_roi(array, r)?;
     }
     let sampler = NormalSampler::new();
+    let read_noise = array.params().read_noise;
+    let sites = array.width() as u64 * array.height() as u64;
+    let aw = array.width() as u64;
     while images.len() > rects.len() {
         let surplus = images.pop().expect("length checked");
         pool.release_rgb(surplus);
     }
-    for (i, &rect) in rects.iter().enumerate() {
-        if i == images.len() {
-            // convert_roi_keyed_into overwrites every sample.
+    for (j, &rect) in rects.iter().enumerate() {
+        if j == images.len() {
+            // Every sample is overwritten below.
             images.push(pool.acquire_rgb_for_overwrite(rect.w, rect.h));
         }
-        convert_roi_keyed_into(array, rect, adc, key, &sampler, &mut images[i]);
+        let (done, rest) = images.split_at_mut(j);
+        let crop = &mut rest[0];
+        crop.reshape_for_overwrite(rect.w, rect.h);
+        let (earlier, w, right) = (&rects[..j], rect.w as usize, rect.right());
+        for (ch, plane) in crop.planes_mut().into_iter().enumerate() {
+            let src = array.plane(ch);
+            let ch_base = ch as u64 * sites;
+            let fill = |_: usize, first_row: usize, band: &mut [f32]| {
+                for (dy, dst_row) in band.chunks_exact_mut(w).enumerate() {
+                    let y = rect.y + (first_row + dy) as u32;
+                    let src_row = src.row(y);
+                    let row_base = ch_base + y as u64 * aw;
+                    let mut x = rect.x;
+                    while x < right {
+                        let (cover, end) = next_run(earlier, y, x, right);
+                        let dst = &mut dst_row[(x - rect.x) as usize..(end - rect.x) as usize];
+                        match cover {
+                            Some(i) => {
+                                let r = earlier[i];
+                                let held = done[i].planes()[ch].row(y - r.y);
+                                dst.copy_from_slice(
+                                    &held[(x - r.x) as usize..(end - r.x) as usize],
+                                );
+                            }
+                            None => convert_run_keyed(
+                                &src_row[x as usize..end as usize],
+                                dst,
+                                row_base + x as u64,
+                                key,
+                                adc,
+                                read_noise,
+                                &sampler,
+                            ),
+                        }
+                        x = end;
+                    }
+                }
+            };
+            shard_rows(shard_pool, plane.as_mut_slice(), rect.h as usize, w, shards, fill);
+        }
     }
     Ok(ReadoutStats {
         conversions: 3 * union_area_with_scratch(rects, union),
@@ -430,7 +478,7 @@ mod tests {
         let key = crate::noise::frame_key(4, 0);
         let a = Rect::new(0, 0, 8, 8);
         let b = Rect::new(4, 2, 8, 8);
-        let (imgs, _) = read_rois_keyed(&arr, &[a, b], &adc, key).unwrap();
+        let (imgs, _) = read_rois_keyed(&arr, &[a, b], &adc, key, 1, None).unwrap();
         let mut overlapping = 0;
         for y in 2..8u32 {
             for x in 4..8u32 {
@@ -444,7 +492,8 @@ mod tests {
         }
         assert_eq!(overlapping, 24);
         // A later readout op (fresh key) is an independent realisation.
-        let (again, _) = read_rois_keyed(&arr, &[a], &adc, crate::noise::frame_key(4, 1)).unwrap();
+        let (again, _) =
+            read_rois_keyed(&arr, &[a], &adc, crate::noise::frame_key(4, 1), 1, None).unwrap();
         assert_ne!(again[0], imgs[0]);
     }
 
@@ -463,20 +512,107 @@ mod tests {
         let mut union = UnionScratch::new();
         for (op, rects) in frames.into_iter().enumerate() {
             let key = crate::noise::frame_key(4, op as u64);
-            let (expected, expected_stats) = read_rois_keyed(&arr, rects, &adc, key).unwrap();
-            let stats =
-                read_rois_keyed_into(&arr, rects, &adc, key, &mut images, &mut pool, &mut union)
-                    .unwrap();
+            let (expected, expected_stats) =
+                read_rois_keyed(&arr, rects, &adc, key, 1, None).unwrap();
+            let stats = read_rois_keyed_into(
+                &arr,
+                rects,
+                &adc,
+                key,
+                1,
+                None,
+                &mut images,
+                &mut pool,
+                &mut union,
+            )
+            .unwrap();
             assert_eq!(images, expected);
             assert_eq!(stats, expected_stats);
         }
         // A failing batch must leave the previous images untouched.
         let before = images.clone();
         let bad = [Rect::new(15, 15, 4, 4)];
-        assert!(
-            read_rois_keyed_into(&arr, &bad, &adc, 1, &mut images, &mut pool, &mut union).is_err()
-        );
+        assert!(read_rois_keyed_into(
+            &arr,
+            &bad,
+            &adc,
+            1,
+            1,
+            None,
+            &mut images,
+            &mut pool,
+            &mut union
+        )
+        .is_err());
         assert_eq!(images, before);
+    }
+
+    #[test]
+    fn keyed_crops_equal_boxes_read_alone_at_any_shard_count() {
+        // Later crops copy the runs earlier crops already hold; whatever
+        // the overlap pattern and the row sharding, every crop must equal
+        // its box read alone under the same key, and the accounting must
+        // still charge the union for conversions and the sum for transfer.
+        let scene = RgbImage::from_fn(24, 20, |x, y| {
+            (x as f32 / 23.0, y as f32 / 19.0, ((x * 7 + y * 3) % 11) as f32 / 10.0)
+        });
+        let arr = PixelArray::from_scene(&scene, PixelParams::default(), 9);
+        let adc = Adc::paper_default().with_noise(0.5e-3).with_inl(0.25);
+        let key = crate::noise::frame_key(9, 2);
+        let outer = Rect::new(2, 3, 12, 10);
+        let inner = Rect::new(5, 6, 4, 3);
+        let batches: [(&str, &[Rect]); 7] = [
+            ("nested, outer first", &[outer, inner]),
+            ("nested, inner first", &[inner, outer]),
+            ("identical", &[outer, outer, outer]),
+            ("partly overlapping", &[Rect::new(0, 0, 10, 8), Rect::new(6, 4, 10, 9)]),
+            // A∩B and B∩C non-empty, A∩C empty: C copies from B only.
+            ("chained", &[Rect::new(0, 0, 8, 8), Rect::new(6, 6, 8, 8), Rect::new(12, 12, 8, 8)]),
+            // Shared edges but no shared pixels, at the array borders.
+            (
+                "edge-touching",
+                &[Rect::new(0, 0, 12, 10), Rect::new(12, 0, 12, 10), Rect::new(0, 10, 24, 10)],
+            ),
+            // A crop whose rows alternate between copied and converted runs.
+            (
+                "interleaved",
+                &[Rect::new(3, 0, 2, 20), Rect::new(9, 5, 3, 4), Rect::new(0, 2, 24, 12), outer],
+            ),
+        ];
+        let pool = ShardPool::new(3);
+        let mut images = Vec::new();
+        let mut frames = FramePool::new();
+        let mut union = UnionScratch::new();
+        for (name, rects) in batches {
+            let alone: Vec<RgbImage> = rects
+                .iter()
+                .map(|&r| read_roi_keyed(&arr, r, &adc, key, 1, None).unwrap().0)
+                .collect();
+            let expected_stats = ReadoutStats {
+                conversions: 3 * union_area(rects),
+                transferred_bits: 3 * sum_area(rects) * 8,
+                box_words_bits: rects.len() as u64 * WORDS_PER_BOX * WORD_BITS,
+            };
+            for shards in [1usize, 2, 3] {
+                let stats = read_rois_keyed_into(
+                    &arr,
+                    rects,
+                    &adc,
+                    key,
+                    shards,
+                    Some(&pool),
+                    &mut images,
+                    &mut frames,
+                    &mut union,
+                )
+                .unwrap();
+                assert_eq!(stats, expected_stats, "{name}: accounting at {shards} shards");
+                for (j, (got, want)) in images.iter().zip(&alone).enumerate() {
+                    assert_eq!(got, want, "{name}: crop {j} at {shards} shards");
+                }
+                assert_eq!(images.len(), rects.len());
+            }
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub struct SensorConfig {
     /// order-independent default) or the legacy sequential stream
     /// (`Sequential`, bit-identical to the historical implementation).
     pub noise_rng: NoiseRngMode,
-    /// Row shards for the keyed capture/pool paths: `1` = single
+    /// Row shards for the keyed capture, pool and ROI paths: `1` = single
     /// threaded (default), `0` = one shard per available core, `n` =
     /// exactly `n`. Results are bit-identical at every setting; only
     /// `Keyed` mode uses the shards (sequential draws cannot be split).
@@ -251,6 +251,14 @@ impl Sensor {
         noise::frame_key(self.noise_seed, op)
     }
 
+    /// Readies the next keyed readout: spawns the shard workers on first
+    /// need and returns the op key (advancing the op counter) with the
+    /// shard count.
+    fn next_keyed_op(&mut self) -> (u64, usize) {
+        self.ensure_shard_pool();
+        (self.next_op_key(), self.capture_shards())
+    }
+
     /// Array width in pixel sites.
     pub fn width(&self) -> u32 {
         self.array.width()
@@ -342,8 +350,8 @@ impl Sensor {
         let keyed = match self.config.noise_rng {
             NoiseRngMode::Sequential => None,
             NoiseRngMode::Keyed => {
-                self.ensure_shard_pool();
-                Some((self.next_op_key(), self.capture_shards(), self.shard_pool.clone()))
+                let (key, shards) = self.next_keyed_op();
+                Some((key, shards, self.shard_pool.clone()))
             }
         };
         let count = match mode {
@@ -499,8 +507,15 @@ impl Sensor {
         match self.config.noise_rng {
             NoiseRngMode::Sequential => roi::read_roi(&self.array, rect, &adc, &mut self.rng),
             NoiseRngMode::Keyed => {
-                let key = self.next_op_key();
-                roi::read_roi_keyed(&self.array, rect, &adc, key)
+                let (key, shards) = self.next_keyed_op();
+                roi::read_roi_keyed(
+                    &self.array,
+                    rect,
+                    &adc,
+                    key,
+                    shards,
+                    self.shard_pool.as_deref(),
+                )
             }
         }
     }
@@ -516,8 +531,9 @@ impl Sensor {
         match self.config.noise_rng {
             NoiseRngMode::Sequential => roi::read_rois(&self.array, rects, &adc, &mut self.rng),
             NoiseRngMode::Keyed => {
-                let key = self.next_op_key();
-                roi::read_rois_keyed(&self.array, rects, &adc, key)
+                let (key, shards) = self.next_keyed_op();
+                let pool = self.shard_pool.as_deref();
+                roi::read_rois_keyed(&self.array, rects, &adc, key, shards, pool)
             }
         }
     }
@@ -543,8 +559,19 @@ impl Sensor {
                 roi::read_rois_into(&self.array, rects, &adc, &mut self.rng, images, pool, union)
             }
             NoiseRngMode::Keyed => {
-                let key = self.next_op_key();
-                roi::read_rois_keyed_into(&self.array, rects, &adc, key, images, pool, union)
+                let (key, shards) = self.next_keyed_op();
+                let shard_pool = self.shard_pool.as_deref();
+                roi::read_rois_keyed_into(
+                    &self.array,
+                    rects,
+                    &adc,
+                    key,
+                    shards,
+                    shard_pool,
+                    images,
+                    pool,
+                    union,
+                )
             }
         }
     }
@@ -742,21 +769,28 @@ mod tests {
     #[test]
     fn keyed_capture_is_shard_count_invariant() {
         // The whole frame path — capture, pooled capture, ROI readout —
-        // is bit-identical at every shard count in keyed mode.
+        // is bit-identical at every shard count in keyed mode, with
+        // overlapping, nested and identical boxes in the ROI batch.
         let scene = test_scene(32, 24);
+        let boxes = [
+            Rect::new(2, 2, 8, 8),
+            Rect::new(6, 4, 8, 8),
+            Rect::new(3, 3, 4, 5),
+            Rect::new(2, 2, 8, 8),
+        ];
         let reference = {
             let mut s =
                 Sensor::capture(&scene, SensorConfig { shards: 1, ..SensorConfig::default() });
             s.recapture(&scene);
             let pooled = s.capture_pooled(4, ColorMode::Rgb).unwrap();
-            let rois = s.read_rois(&[Rect::new(2, 2, 8, 8), Rect::new(6, 4, 8, 8)]).unwrap();
+            let rois = s.read_rois(&boxes).unwrap();
             (pooled, rois)
         };
         for shards in [2u32, 4] {
             let mut s = Sensor::capture(&scene, SensorConfig { shards, ..SensorConfig::default() });
             s.recapture(&scene);
             let pooled = s.capture_pooled(4, ColorMode::Rgb).unwrap();
-            let rois = s.read_rois(&[Rect::new(2, 2, 8, 8), Rect::new(6, 4, 8, 8)]).unwrap();
+            let rois = s.read_rois(&boxes).unwrap();
             assert_eq!(pooled, reference.0, "pooled capture differs at {shards} shards");
             assert_eq!(rois, reference.1, "roi readout differs at {shards} shards");
         }

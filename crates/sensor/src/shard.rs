@@ -2,7 +2,7 @@
 //!
 //! Keyed-mode noise is a pure function of position
 //! ([`crate::noise::NoiseRngMode::Keyed`]), so the row bands of one
-//! capture/pool/digitise pass can be computed concurrently with
+//! capture, pool or ROI readout pass can be computed concurrently with
 //! bit-identical results at any shard count. `std::thread::scope` would
 //! do that, but it allocates (thread stacks, join packets) on every
 //! frame — and the steady-state frame path carries a **zero heap
