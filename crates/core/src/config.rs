@@ -75,7 +75,9 @@ impl HiriseConfig {
         if self.max_rois == 0 {
             return Err(HiriseError::InvalidConfig { reason: "max_rois must be positive".into() });
         }
-        Ok(())
+        self.detector
+            .validate()
+            .map_err(|e| HiriseError::InvalidConfig { reason: format!("detector: {e}") })
     }
 }
 
@@ -218,7 +220,8 @@ impl HiriseConfigBuilder {
     /// # Errors
     ///
     /// [`HiriseError::InvalidConfig`] when the pooling factor does not
-    /// tile the array, a dimension is zero, or `max_rois == 0`.
+    /// tile the array, a dimension is zero, `max_rois == 0`, or the
+    /// detector configuration fails [`DetectorConfig::validate`].
     pub fn build(self) -> Result<HiriseConfig> {
         self.config.validate()?;
         Ok(self.config)
@@ -255,6 +258,19 @@ mod tests {
     fn rejects_degenerate_values() {
         assert!(HiriseConfig::builder(0, 100).build().is_err());
         assert!(HiriseConfig::builder(100, 100).max_rois(0).build().is_err());
+    }
+
+    #[test]
+    fn rejects_degenerate_detector() {
+        let build = |detector: DetectorConfig| {
+            HiriseConfig::builder(64, 64).pooling(2).detector(detector).build()
+        };
+        assert!(build(DetectorConfig::default()).is_ok());
+        let err = build(DetectorConfig { scale_step: 1.0, ..Default::default() }).unwrap_err();
+        assert!(matches!(err, HiriseError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("scale_step"), "{err}");
+        assert!(build(DetectorConfig { min_object_h: 0, ..Default::default() }).is_err());
+        assert!(build(DetectorConfig { aspects: Vec::new(), ..Default::default() }).is_err());
     }
 
     #[test]

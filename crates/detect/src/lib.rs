@@ -42,7 +42,7 @@ pub mod integral;
 pub mod nms;
 
 pub use associate::{greedy_iou_associate, AssociateScratch};
-pub use detector::{Detector, DetectorConfig, DetectorScratch};
+pub use detector::{Detector, DetectorConfig, DetectorConfigError, DetectorScratch, ScanStats};
 pub use eval::{evaluate, Detection, EvalResult, GroundTruth};
 pub use features::{FeatureMaps, FeatureScratch};
 pub use integral::IntegralImage;
