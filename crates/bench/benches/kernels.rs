@@ -1,17 +1,14 @@
 //! Criterion micro-benchmarks of the hottest frame-path kernels, so
 //! per-kernel regressions are visible independently of the end-to-end
 //! pipeline numbers: average pooling, luma conversion, gradient
-//! magnitude, integral-image recompute, NMS, and the two normal-noise
-//! samplers (sequential Box–Muller vs keyed Ziggurat — the PR 4 swap
-//! behind the pool-stage speedup).
+//! magnitude, integral-image recompute, NMS, and the keyed Ziggurat
+//! normal-noise sampler.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hirise_detect::{features, nms, Detection, IntegralImage};
 use hirise_imaging::{color, ops, Plane, Rect, RgbImage};
-use hirise_sensor::pooling::gaussian;
 use rand::distributions::NormalSampler;
-use rand::rngs::{KeyedRng, StdRng};
-use rand::SeedableRng;
+use rand::rngs::KeyedRng;
 
 const W: u32 = 640;
 const H: u32 = 480;
@@ -98,16 +95,6 @@ fn bench_noise_samplers(c: &mut Criterion) {
     // One frame's worth of pool-stage noise draws at 640×480 / k=2 RGB
     // (one pooling + one ADC draw per pooled site per channel).
     const DRAWS: usize = (W as usize / 2) * (H as usize / 2) * 3 * 2;
-    c.bench_function("noise_box_muller_sequential_frame", |b| {
-        let mut rng = StdRng::seed_from_u64(1);
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for _ in 0..DRAWS {
-                acc += gaussian(&mut rng);
-            }
-            black_box(acc)
-        });
-    });
     c.bench_function("noise_ziggurat_keyed_frame", |b| {
         let sampler = NormalSampler::new();
         let key = KeyedRng::derive_key(1, 0);

@@ -1,12 +1,11 @@
 //! Criterion micro-benchmarks of the scaling paths: digital average
-//! pooling (in-processor) vs behavioural analog pooling (in-sensor), plus
-//! the ablation between ideal and noisy pooling configurations.
+//! pooling (in-processor) vs behavioural analog pooling plus stage-1
+//! conversion (in-sensor), plus the ablation between ideal and noisy
+//! pooling configurations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hirise_imaging::{ops, RgbImage};
-use hirise_sensor::{pooling, PixelArray, PixelParams, PoolingConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use hirise_imaging::{ops, GrayImage, Image, Plane, RgbImage};
+use hirise_sensor::{ColorMode, PoolingConfig, Sensor, SensorConfig};
 
 fn scene(w: u32, h: u32) -> RgbImage {
     RgbImage::from_fn(w, h, |x, y| {
@@ -29,15 +28,19 @@ fn bench_digital_pooling(c: &mut Criterion) {
     group.finish();
 }
 
+/// One gray pooled capture of `sensor` into reused buffers.
+fn pool_gray(sensor: &mut Sensor, k: u32, analog: &mut Plane, out: &mut Image) {
+    sensor.capture_pooled_into(k, ColorMode::Gray, analog, out).expect("k tiles the array");
+}
+
 fn bench_analog_pooling(c: &mut Criterion) {
     let mut group = c.benchmark_group("analog_pool_gray");
     let img = scene(640, 480);
-    let array = PixelArray::from_scene(&img, PixelParams::default(), 1);
+    let mut sensor = Sensor::capture(&img, SensorConfig { seed: 1, ..SensorConfig::default() });
+    let (mut analog, mut out) = (Plane::new(1, 1), Image::Gray(GrayImage::new(1, 1)));
     for k in [2u32, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            let cfg = PoolingConfig::default();
-            let mut rng = StdRng::seed_from_u64(9);
-            b.iter(|| pooling::pool_gray(&array, k, &cfg, &mut rng).expect("k tiles the array"));
+            b.iter(|| pool_gray(&mut sensor, k, &mut analog, &mut out));
         });
     }
     group.finish();
@@ -48,12 +51,14 @@ fn bench_pooling_fidelity_ablation(c: &mut Criterion) {
     // noise model; the accuracy effect is covered by integration tests).
     let mut group = c.benchmark_group("pooling_fidelity");
     let img = scene(320, 240);
-    let array = PixelArray::from_scene(&img, PixelParams::default(), 1);
-    for (name, cfg) in [("ideal", PoolingConfig::ideal()), ("calibrated", PoolingConfig::default())]
+    let (mut analog, mut out) = (Plane::new(1, 1), Image::Gray(GrayImage::new(1, 1)));
+    for (name, pooling) in
+        [("ideal", PoolingConfig::ideal()), ("calibrated", PoolingConfig::default())]
     {
+        let config = SensorConfig { pooling, seed: 1, ..SensorConfig::default() };
+        let mut sensor = Sensor::capture(&img, config);
         group.bench_function(name, |b| {
-            let mut rng = StdRng::seed_from_u64(11);
-            b.iter(|| pooling::pool_gray(&array, 4, &cfg, &mut rng).expect("k tiles the array"));
+            b.iter(|| pool_gray(&mut sensor, 4, &mut analog, &mut out));
         });
     }
     group.finish();

@@ -2,10 +2,12 @@
 //! against the committed `results/BENCH_pipeline.json` baseline.
 //!
 //! The fresh run reuses the baseline's configuration (array size,
-//! pooling factor, noise mode) so the comparison is apples-to-apples,
+//! pooling factor) so the comparison is apples-to-apples,
 //! appends a dated entry to the `results/BENCH_history.json` trajectory,
 //! and **exits nonzero when the end-to-end mean regressed by more than
 //! the allowed percentage** (default 15 %) — the labelled CI gate.
+//! Baselines written when the sensor had a second noise path carry a
+//! `"mode"` key; it is ignored, since every run draws keyed noise.
 //!
 //! The gate also covers the **temporal** trajectory: when a committed
 //! `results/BENCH_temporal.json` exists (see the `video_stages` binary),
@@ -67,13 +69,11 @@
 //!     [--max-regress-pct 15] [--max-iou-drop 0.05] \
 //!     [--max-energy-regress-pct 10] [--max-serve-regress-pct 75] \
 //!     [--max-recovery-frames N] [--max-replay-frames N] \
-//!     [--frames N] [--mode keyed|sequential] \
-//!     [--quick | --full]
+//!     [--frames N] [--quick | --full]
 //! ```
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use hirise::NoiseRngMode;
 use hirise_bench::args::Flags;
 use hirise_bench::stages::{json_bool, json_f64, json_str, measure, StageBenchConfig};
 use hirise_bench::{chaos, recover, scenario, serve, video};
@@ -145,20 +145,12 @@ fn main() {
         height,
         pooling_k: json_f64(&baseline, "pooling_k").map_or(defaults.pooling_k, |k| k as u32),
         frames: flags.parsed("frames").unwrap_or_else(|| flags.run_size().pick(5, 30, 100)),
-        // `--mode` overrides the baseline's mode (to measure a mode
-        // switch against the previous trajectory point); baselines from
-        // before the mode field default to the legacy sequential stream.
-        mode: flags.parsed::<NoiseRngMode>("mode").unwrap_or_else(|| {
-            json_str(&baseline, "mode")
-                .and_then(|m| m.parse().ok())
-                .unwrap_or(NoiseRngMode::Sequential)
-        }),
     };
 
     println!(
-        "bench_compare: re-running {array} k={} mode={} over {} frames \
+        "bench_compare: re-running {array} k={} over {} frames \
          (baseline {base_mean:.2} ms/frame)",
-        config.pooling_k, config.mode, config.frames
+        config.pooling_k, config.frames
     );
     let fresh = measure(&config);
     let delta_pct = 100.0 * (fresh.end_to_end_ms_mean - base_mean) / base_mean;
@@ -190,14 +182,14 @@ fn main() {
                 });
             let defaults = video::VideoBenchConfig::default();
             // Reconstruct the measurement configuration from the
-            // temporal baseline itself (array, k, cadence, noise mode),
+            // temporal baseline itself (array, k, cadence),
             // exactly as the still gate does from its baseline, so the
             // comparison stays apples-to-apples. The frame count also
             // comes from the baseline: the keyframe fraction is part of
             // the tracked mean, so a shorter fresh run (e.g. 2
             // keyframes over 12 frames vs 6 over 48) would bias the
-            // delta with no real regression. `--mode`/`--frames`
-            // override deliberately.
+            // delta with no real regression. `--frames` overrides
+            // deliberately.
             let video_array =
                 json_str(&temporal_baseline, "array").unwrap_or_else(|| array.clone());
             let (video_width, video_height) = video_array
@@ -216,11 +208,6 @@ fn main() {
                 }),
                 keyframe_interval: json_f64(&temporal_baseline, "keyframe_interval")
                     .map_or(defaults.keyframe_interval, |v| v as u32),
-                mode: flags.parsed::<NoiseRngMode>("mode").unwrap_or_else(|| {
-                    json_str(&temporal_baseline, "mode")
-                        .and_then(|m| m.parse().ok())
-                        .unwrap_or(defaults.mode)
-                }),
             };
             // Tracked-only measurement: the per-frame-mode half of the
             // video bench is not gated here, so don't pay for it.
@@ -288,7 +275,6 @@ fn main() {
                     frames: json_f64(&base, "frames").map_or(32, |v| v as u32),
                     keyframe_interval: json_f64(&base, "keyframe_interval").map_or(8, |v| v as u32),
                     max_rois: json_f64(&base, "max_rois").map_or(8, |v| v as usize),
-                    mode: json_str(&base, "mode").and_then(|m| m.parse().ok()).unwrap_or_default(),
                     seed: json_f64(&base, "seed").map_or(scenario::SCENARIO_SEED, |v| v as u64),
                 };
                 let base_ms =
@@ -737,12 +723,12 @@ fn main() {
     });
     let entry = format!(
         "  {{ \"date\": \"{y:04}-{m:02}-{d:02}\", \"epoch_secs\": {epoch_secs}, \
-         \"array\": \"{array}\", \"pooling_k\": {}, \"mode\": \"{}\", \"frames\": {}, \
+         \"array\": \"{array}\", \"pooling_k\": {}, \"frames\": {}, \
          \"end_to_end_ms_mean\": {:.3}, \"pool_ms_mean\": {:.3}, \
          \"baseline_ms_mean\": {base_mean:.3}, \"delta_pct\": \
          {delta_pct:.2}{tracked_fields}{scenario_fields}{serve_fields}{chaos_fields}\
          {recover_fields} }}",
-        config.pooling_k, config.mode, config.frames, fresh.end_to_end_ms_mean, fresh.pool_ms,
+        config.pooling_k, config.frames, fresh.end_to_end_ms_mean, fresh.pool_ms,
     );
     let history = std::path::Path::new(history_path);
     append_history(history, &entry);

@@ -10,16 +10,11 @@
 //! ```text
 //! cargo run --release -p hirise-bench --bin pipeline_stages -- \
 //!     [--width 640] [--height 480] [--k 2] [--frames 30] \
-//!     [--mode keyed|sequential] [--out results/BENCH_pipeline.json] \
-//!     [--quick | --full]
+//!     [--out results/BENCH_pipeline.json] [--quick | --full]
 //! ```
 //!
-//! `--frames` overrides the `--quick`/`--full` frame budget; `--mode`
-//! selects the sensor noise mode so Keyed and Sequential runs are
-//! distinguishable in the emitted JSON (and therefore in the committed
-//! trajectory).
+//! `--frames` overrides the `--quick`/`--full` frame budget.
 
-use hirise::NoiseRngMode;
 use hirise_bench::args::Flags;
 use hirise_bench::stages::{measure, StageBenchConfig};
 
@@ -31,14 +26,13 @@ fn main() {
         height: flags.parsed("height").unwrap_or(defaults.height),
         pooling_k: flags.parsed("k").unwrap_or(defaults.pooling_k),
         frames: flags.parsed("frames").unwrap_or_else(|| flags.run_size().pick(5, 30, 100)),
-        mode: flags.parsed::<NoiseRngMode>("mode").unwrap_or(defaults.mode),
     };
 
     let result = measure(&config);
     let total = result.end_to_end_ms_mean;
     println!(
-        "stage breakdown over {} frames at {}x{}, k={}, mode={}:",
-        config.frames, config.width, config.height, config.pooling_k, config.mode
+        "stage breakdown over {} frames at {}x{}, k={}:",
+        config.frames, config.width, config.height, config.pooling_k
     );
     for (label, ms) in [
         ("capture ", result.capture_ms),

@@ -11,11 +11,10 @@
 //! ```text
 //! cargo run --release -p hirise-bench --bin video_stages -- \
 //!     [--width 640] [--height 480] [--k 2] [--frames 48] \
-//!     [--interval 8] [--mode keyed|sequential] \
-//!     [--out results/BENCH_temporal.json] [--quick | --full]
+//!     [--interval 8] [--out results/BENCH_temporal.json] \
+//!     [--quick | --full]
 //! ```
 
-use hirise::NoiseRngMode;
 use hirise_bench::args::Flags;
 use hirise_bench::video::{measure, VideoBenchConfig};
 
@@ -28,18 +27,12 @@ fn main() {
         pooling_k: flags.parsed("k").unwrap_or(defaults.pooling_k),
         frames: flags.parsed("frames").unwrap_or_else(|| flags.run_size().pick(16, 48, 120)),
         keyframe_interval: flags.parsed("interval").unwrap_or(defaults.keyframe_interval),
-        mode: flags.parsed::<NoiseRngMode>("mode").unwrap_or(defaults.mode),
     };
 
     let result = measure(&config);
     println!(
-        "temporal video over {} frames at {}x{}, k={}, keyframes every {}, mode={}:",
-        config.frames,
-        config.width,
-        config.height,
-        config.pooling_k,
-        config.keyframe_interval,
-        config.mode
+        "temporal video over {} frames at {}x{}, k={}, keyframes every {}:",
+        config.frames, config.width, config.height, config.pooling_k, config.keyframe_interval
     );
     println!(
         "  per-frame mode {:8.2} ms/frame  ({:.1} fps)",

@@ -34,8 +34,7 @@ use std::time::Instant;
 
 use hirise::temporal::{TrackerState, TrackingPipeline};
 use hirise::{
-    HiriseConfig, HirisePipeline, NoiseRngMode, PipelineScratch, Rect, SequenceSummary,
-    TemporalConfig,
+    HiriseConfig, HirisePipeline, PipelineScratch, Rect, SequenceSummary, TemporalConfig,
 };
 use hirise_analog::pooling::PoolingCircuit;
 use hirise_scene::{ScenarioGenerator, ScenarioSpec};
@@ -69,8 +68,6 @@ pub struct ScenarioBenchConfig {
     pub keyframe_interval: u32,
     /// ROI budget (the crowd scenario raises it).
     pub max_rois: usize,
-    /// Sensor noise mode under test.
-    pub mode: NoiseRngMode,
     /// Scenario seed.
     pub seed: u64,
 }
@@ -90,7 +87,6 @@ pub fn scenario_matrix() -> Vec<ScenarioBenchConfig> {
             frames,
             keyframe_interval: 8,
             max_rois: rois,
-            mode: NoiseRngMode::default(),
             seed: SCENARIO_SEED,
         }
     };
@@ -133,7 +129,6 @@ pub fn pipeline_config(config: &ScenarioBenchConfig) -> HiriseConfig {
         .detector(detector)
         .max_rois(config.max_rois)
         .roi_margin(2)
-        .noise_rng(config.mode)
         .build()
         .expect("valid scenario-bench configuration")
 }
@@ -198,7 +193,7 @@ impl ScenarioBenchResult {
         format!(
             "{{\n  \"bench\": \"scenario_stages\",\n  \"scenario\": \"{}\",\n  \
              \"label\": \"{}\",\n  \"array\": \"{}x{}\",\n  \"pooling_k\": {},\n  \
-             \"mode\": \"{}\",\n  \"frames\": {},\n  \"keyframe_interval\": {},\n  \
+             \"frames\": {},\n  \"keyframe_interval\": {},\n  \
              \"max_rois\": {},\n  \"seed\": {},\n  \"per_frame_ms_mean\": {:.3},\n  \
              \"tracked_ms_mean\": {:.3},\n  \"speedup\": {:.3},\n  \"keyframes\": {},\n  \
              \"drift_refreshes\": {},\n  \"tracked_frames\": {},\n  \
@@ -211,7 +206,6 @@ impl ScenarioBenchResult {
             c.width,
             c.height,
             c.pooling_k,
-            c.mode,
             c.frames,
             c.keyframe_interval,
             c.max_rois,
@@ -401,7 +395,6 @@ mod tests {
             frames: 8,
             keyframe_interval: 4,
             max_rois: if scenario == "crowded" { 32 } else { 8 },
-            mode: NoiseRngMode::Keyed,
             seed: SCENARIO_SEED,
         }
     }

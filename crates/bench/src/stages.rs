@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use hirise::{HiriseConfig, HirisePipeline, NoiseRngMode, PipelineScratch, StageTimings};
+use hirise::{HiriseConfig, HirisePipeline, PipelineScratch, StageTimings};
 use hirise_scene::{DatasetSpec, SceneGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,15 +28,12 @@ pub struct StageBenchConfig {
     pub pooling_k: u32,
     /// Measured frames (after two warm-up frames).
     pub frames: usize,
-    /// Sensor noise mode under test.
-    pub mode: NoiseRngMode,
 }
 
 impl Default for StageBenchConfig {
-    /// The committed trajectory point: 640×480, k = 2, 30 frames, the
-    /// default keyed noise mode.
+    /// The committed trajectory point: 640×480, k = 2, 30 frames.
     fn default() -> Self {
-        Self { width: 640, height: 480, pooling_k: 2, frames: 30, mode: NoiseRngMode::default() }
+        Self { width: 640, height: 480, pooling_k: 2, frames: 30 }
     }
 }
 
@@ -72,14 +69,13 @@ impl StageBenchResult {
         let c = &self.config;
         format!(
             "{{\n  \"bench\": \"pipeline_stages\",\n  \"array\": \"{}x{}\",\n  \
-             \"pooling_k\": {},\n  \"mode\": \"{}\",\n  \"frames\": {},\n  \
+             \"pooling_k\": {},\n  \"frames\": {},\n  \
              \"end_to_end_ms_mean\": {:.3},\n  \"end_to_end_ms_min\": {:.3},\n  \
              \"fps_mean\": {:.2},\n  \"stages_ms_mean\": {{\n    \"capture\": {:.3},\n    \
              \"pool\": {:.3},\n    \"detect\": {:.3},\n    \"roi_read\": {:.3}\n  }}\n}}\n",
             c.width,
             c.height,
             c.pooling_k,
-            c.mode,
             c.frames,
             self.end_to_end_ms_mean,
             self.end_to_end_ms_min,
@@ -107,7 +103,6 @@ pub fn measure(config: &StageBenchConfig) -> StageBenchResult {
     let pipeline_config = HiriseConfig::builder(config.width, config.height)
         .pooling(config.pooling_k)
         .max_rois(8)
-        .noise_rng(config.mode)
         .build()
         .expect("valid stage-bench configuration");
     let pipeline = HirisePipeline::new(pipeline_config);
@@ -182,13 +177,7 @@ mod tests {
     #[test]
     fn json_roundtrips_through_the_emitted_format() {
         let result = StageBenchResult {
-            config: StageBenchConfig {
-                width: 320,
-                height: 240,
-                pooling_k: 4,
-                frames: 3,
-                mode: NoiseRngMode::Sequential,
-            },
+            config: StageBenchConfig { width: 320, height: 240, pooling_k: 4, frames: 3 },
             end_to_end_ms_mean: 12.345,
             end_to_end_ms_min: 11.5,
             capture_ms: 1.0,
@@ -198,7 +187,6 @@ mod tests {
         };
         let json = result.to_json();
         assert_eq!(json_str(&json, "array").as_deref(), Some("320x240"));
-        assert_eq!(json_str(&json, "mode").as_deref(), Some("sequential"));
         assert_eq!(json_f64(&json, "pooling_k"), Some(4.0));
         assert_eq!(json_f64(&json, "frames"), Some(3.0));
         assert_eq!(json_f64(&json, "end_to_end_ms_mean"), Some(12.345));
@@ -210,13 +198,7 @@ mod tests {
 
     #[test]
     fn measurement_produces_consistent_numbers() {
-        let cfg = StageBenchConfig {
-            width: 64,
-            height: 48,
-            pooling_k: 2,
-            frames: 2,
-            mode: NoiseRngMode::Keyed,
-        };
+        let cfg = StageBenchConfig { width: 64, height: 48, pooling_k: 2, frames: 2 };
         let r = measure(&cfg);
         assert!(r.end_to_end_ms_mean > 0.0);
         assert!(r.end_to_end_ms_min <= r.end_to_end_ms_mean);

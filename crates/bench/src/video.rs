@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use hirise::temporal::{TrackerState, TrackingPipeline};
-use hirise::{HiriseConfig, HirisePipeline, NoiseRngMode, PipelineScratch, Rect, TemporalConfig};
+use hirise::{HiriseConfig, HirisePipeline, PipelineScratch, Rect, TemporalConfig};
 use hirise_scene::{VideoGenerator, VideoSpec};
 
 /// Seed of the benchmark's video sequence (fixed: the bench compares
@@ -43,22 +43,13 @@ pub struct VideoBenchConfig {
     pub frames: u32,
     /// Keyframe cadence of the tracked run.
     pub keyframe_interval: u32,
-    /// Sensor noise mode under test.
-    pub mode: NoiseRngMode,
 }
 
 impl Default for VideoBenchConfig {
     /// The committed trajectory point: the reference 640×480 / k = 2
-    /// array over 48 frames, keyframes every 8, keyed noise.
+    /// array over 48 frames, keyframes every 8.
     fn default() -> Self {
-        Self {
-            width: 640,
-            height: 480,
-            pooling_k: 2,
-            frames: 48,
-            keyframe_interval: 8,
-            mode: NoiseRngMode::default(),
-        }
+        Self { width: 640, height: 480, pooling_k: 2, frames: 48, keyframe_interval: 8 }
     }
 }
 
@@ -100,7 +91,7 @@ impl VideoBenchResult {
         let c = &self.config;
         format!(
             "{{\n  \"bench\": \"video_stages\",\n  \"array\": \"{}x{}\",\n  \
-             \"pooling_k\": {},\n  \"mode\": \"{}\",\n  \"frames\": {},\n  \
+             \"pooling_k\": {},\n  \"frames\": {},\n  \
              \"keyframe_interval\": {},\n  \"per_frame_ms_mean\": {:.3},\n  \
              \"tracked_ms_mean\": {:.3},\n  \"speedup\": {:.3},\n  \
              \"keyframes\": {},\n  \"drift_refreshes\": {},\n  \
@@ -108,7 +99,6 @@ impl VideoBenchResult {
             c.width,
             c.height,
             c.pooling_k,
-            c.mode,
             c.frames,
             c.keyframe_interval,
             self.per_frame_ms_mean,
@@ -150,7 +140,6 @@ pub fn pipeline_config(config: &VideoBenchConfig) -> HiriseConfig {
         .detector(detector)
         .max_rois(8)
         .roi_margin(2)
-        .noise_rng(config.mode)
         .build()
         .expect("valid video-bench configuration")
 }
@@ -282,7 +271,6 @@ mod tests {
                 pooling_k: 4,
                 frames: 12,
                 keyframe_interval: 6,
-                mode: NoiseRngMode::Sequential,
             },
             per_frame_ms_mean: 20.5,
             tracked_ms_mean: 8.25,
@@ -294,7 +282,6 @@ mod tests {
         let json = result.to_json();
         assert_eq!(json_str(&json, "bench").as_deref(), Some("video_stages"));
         assert_eq!(json_str(&json, "array").as_deref(), Some("320x240"));
-        assert_eq!(json_str(&json, "mode").as_deref(), Some("sequential"));
         assert_eq!(json_f64(&json, "per_frame_ms_mean"), Some(20.5));
         assert_eq!(json_f64(&json, "tracked_ms_mean"), Some(8.25));
         assert_eq!(json_f64(&json, "keyframe_interval"), Some(6.0));
@@ -314,7 +301,6 @@ mod tests {
             pooling_k: 2,
             frames: 0,
             keyframe_interval: 4,
-            mode: NoiseRngMode::Keyed,
         };
         let r = measure(&cfg);
         assert_eq!(r.per_frame_ms_mean, 0.0);
@@ -339,7 +325,6 @@ mod tests {
             pooling_k: 2,
             frames: 12,
             keyframe_interval: 4,
-            mode: NoiseRngMode::Keyed,
         };
         let r = measure(&cfg);
         assert!(r.per_frame_ms_mean > 0.0 && r.tracked_ms_mean > 0.0);

@@ -12,8 +12,8 @@
 //! Beyond the `rand 0.8` surface, two pieces of the `rand` ecosystem
 //! this workspace needs are folded in rather than stubbed separately:
 //! the counter-based [`rngs::KeyedRng`] (order-independent,
-//! position-keyable draws — the engine behind the sensor's `Keyed`
-//! noise mode) and the Ziggurat [`StandardNormal`] sampler with the
+//! position-keyable draws — the engine behind the sensor's noise) and
+//! the Ziggurat [`StandardNormal`] sampler with the
 //! batched [`distributions::fill_normals`] entry point (the
 //! `rand_distr::StandardNormal` analogue).
 //!

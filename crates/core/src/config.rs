@@ -5,8 +5,6 @@ use hirise_sensor::{ColorMode, SensorConfig};
 
 use crate::{HiriseError, Result};
 
-pub use hirise_sensor::NoiseRngMode;
-
 /// Complete configuration of a HiRISE system instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HiriseConfig {
@@ -75,6 +73,9 @@ impl HiriseConfig {
         if self.max_rois == 0 {
             return Err(HiriseError::InvalidConfig { reason: "max_rois must be positive".into() });
         }
+        self.sensor
+            .validate()
+            .map_err(|e| HiriseError::InvalidConfig { reason: format!("sensor: {e}") })?;
         self.detector
             .validate()
             .map_err(|e| HiriseError::InvalidConfig { reason: format!("detector: {e}") })
@@ -180,16 +181,7 @@ impl HiriseConfigBuilder {
         self
     }
 
-    /// Sets how the sensor realises its noise draws: position-keyed
-    /// ([`NoiseRngMode::Keyed`], the fast order-independent default) or
-    /// the legacy sequential stream ([`NoiseRngMode::Sequential`],
-    /// bit-identical to the historical implementation and its goldens).
-    pub fn noise_rng(mut self, mode: NoiseRngMode) -> Self {
-        self.config.sensor.noise_rng = mode;
-        self
-    }
-
-    /// Sets the row-shard count for the keyed capture/pool paths (`1` =
+    /// Sets the row-shard count for the capture/pool/ROI paths (`1` =
     /// single threaded, `0` = one shard per core, `n` = exactly `n`).
     /// Output is bit-identical at every setting.
     pub fn sensor_shards(mut self, shards: u32) -> Self {
@@ -220,8 +212,9 @@ impl HiriseConfigBuilder {
     /// # Errors
     ///
     /// [`HiriseError::InvalidConfig`] when the pooling factor does not
-    /// tile the array, a dimension is zero, `max_rois == 0`, or the
-    /// detector configuration fails [`DetectorConfig::validate`].
+    /// tile the array, a dimension is zero, `max_rois == 0`, the sensor
+    /// configuration fails [`SensorConfig::validate`], or the detector
+    /// configuration fails [`DetectorConfig::validate`].
     pub fn build(self) -> Result<HiriseConfig> {
         self.config.validate()?;
         Ok(self.config)
@@ -274,13 +267,33 @@ mod tests {
     }
 
     #[test]
+    fn rejects_invalid_sensor() {
+        let build =
+            |sensor: SensorConfig| HiriseConfig::builder(64, 64).pooling(2).sensor(sensor).build();
+        let mut pooling = SensorConfig::default().pooling;
+        pooling.gain = 0.0;
+        let mut pixel = SensorConfig::default().pixel;
+        pixel.v_sat = pixel.v_dark;
+        for (name, sensor) in [
+            ("adc_bits 0", SensorConfig { adc_bits: 0, ..Default::default() }),
+            ("adc_bits 17", SensorConfig { adc_bits: 17, ..Default::default() }),
+            ("v_sat <= v_dark", SensorConfig { pixel, ..Default::default() }),
+            ("gain 0", SensorConfig { pooling, ..Default::default() }),
+        ] {
+            let err = build(sensor).unwrap_err();
+            assert!(matches!(err, HiriseError::InvalidConfig { .. }), "{name}: {err}");
+            assert!(err.to_string().contains("sensor"), "{name}: {err}");
+        }
+        assert!(build(SensorConfig::noiseless()).is_ok());
+    }
+
+    #[test]
     fn builder_setters_apply() {
         let c = HiriseConfig::builder(640, 480)
             .pooling(2)
             .stage1_color(ColorMode::Gray)
             .max_rois(5)
             .roi_margin(4)
-            .noise_rng(NoiseRngMode::Sequential)
             .sensor_shards(4)
             .build()
             .unwrap();
@@ -289,7 +302,6 @@ mod tests {
         assert_eq!(c.max_rois, 5);
         assert_eq!(c.roi_margin, 4);
         assert_eq!(c.pooled_dimensions(), (320, 240));
-        assert_eq!(c.sensor.noise_rng, NoiseRngMode::Sequential);
         assert_eq!(c.sensor.shards, 4);
     }
 
@@ -311,8 +323,18 @@ mod tests {
 
     #[test]
     fn default_noise_mode_is_keyed() {
+        // Keyed draws are a pure function of (seed, position), so the
+        // default single-shard capture equals a row-sharded one.
         let c = HiriseConfig::builder(64, 64).build().unwrap();
-        assert_eq!(c.sensor.noise_rng, NoiseRngMode::Keyed);
         assert_eq!(c.sensor.shards, 1);
+        let scene = hirise_imaging::RgbImage::from_fn(16, 12, |x, y| {
+            (x as f32 / 16.0, y as f32 / 12.0, 0.4)
+        });
+        let one = hirise_sensor::Sensor::capture(&scene, c.sensor);
+        let sharded =
+            hirise_sensor::Sensor::capture(&scene, SensorConfig { shards: 3, ..c.sensor });
+        for ch in 0..3 {
+            assert_eq!(one.array().plane(ch), sharded.array().plane(ch), "channel {ch}");
+        }
     }
 }

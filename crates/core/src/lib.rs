@@ -84,7 +84,7 @@ pub use timing::StageTimings;
 pub use hirise_detect::{Detection, Detector, DetectorConfig};
 pub use hirise_energy::{AdcEnergy, PoolingEnergy, RoiConversionModel};
 pub use hirise_imaging::{Image, Rect, RgbImage};
-pub use hirise_sensor::{ColorMode, NoiseRngMode, ReadoutStats, Sensor, SensorConfig};
+pub use hirise_sensor::{ColorMode, ReadoutStats, Sensor, SensorConfig};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, HiriseError>;

@@ -37,10 +37,9 @@
 //! preceding frames of the sequence: association is deterministic
 //! greedy IoU, velocities are exact f64 arithmetic on box centres, and
 //! the policy decisions (cadence, drift) branch on deterministic
-//! quantities. With the sensor's keyed noise mode (the default) frame
-//! noise is position-pure as well, so an entire tracked *sequence* is
-//! bit-identical regardless of worker placement or intra-frame shard
-//! count — the property the multi-session serve engine
+//! quantities. The sensor's keyed frame noise is position-pure as
+//! well, so an entire tracked *sequence* is bit-identical regardless of
+//! worker placement or intra-frame shard count — the property the multi-session serve engine
 //! (`hirise_serve::ServeEngine`) builds on.
 //!
 //! Like the still path, the steady state allocates nothing: tracks,

@@ -6,8 +6,6 @@
 //! conversion is deliberately not modelled here — `hirise-energy` owns all
 //! cost accounting; this type only produces codes.
 
-use rand::Rng;
-
 use crate::{Result, SensorError};
 
 /// A uniform-quantising ADC with optional INL bow and input-referred noise.
@@ -80,24 +78,10 @@ impl Adc {
         self.noise_sigma
     }
 
-    /// Converts an analog voltage to a code, drawing conversion noise from
-    /// `rng`. Inputs outside the range clip to the end codes.
-    pub fn convert<R: Rng + ?Sized>(&self, v: f64, rng: &mut R) -> u16 {
-        let mut x = v;
-        if self.noise_sigma > 0.0 {
-            // Box–Muller from two uniforms.
-            let u1: f64 = rng.gen_range(1e-12..1.0);
-            let u2: f64 = rng.gen::<f64>();
-            let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            x += self.noise_sigma * g;
-        }
-        self.quantise(x)
-    }
-
-    /// Converts with an externally supplied standard-normal noise sample
-    /// `g` (scaled by the configured sigma) — the position-keyed noise
-    /// path, where the caller owns the draw so conversion stays a pure
-    /// function of `(v, g)`.
+    /// Converts an analog voltage to a code with the standard-normal
+    /// noise sample `g` (scaled by the configured sigma). The caller owns
+    /// the position-keyed draw, so conversion stays a pure function of
+    /// `(v, g)`. Inputs outside the range clip to the end codes.
     #[inline]
     pub fn convert_with_noise(&self, v: f64, g: f64) -> u16 {
         self.quantise(v + self.noise_sigma * g)
@@ -134,7 +118,8 @@ impl Adc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::mock::StepRng;
+    use rand::distributions::NormalSampler;
+    use rand::rngs::KeyedRng;
 
     #[test]
     fn rejects_bad_config() {
@@ -222,8 +207,14 @@ mod tests {
     #[test]
     fn noise_perturbs_codes() {
         let adc = Adc::new(8, 0.0, 1.0).unwrap().with_noise(0.02);
-        let mut rng = StepRng::new(0x8000_0000_0000_0000, 0x1111_1111_1111_1111);
-        let codes: Vec<u16> = (0..50).map(|_| adc.convert(0.5, &mut rng)).collect();
+        let sampler = NormalSampler::new();
+        let key = KeyedRng::derive_key(1, 0);
+        let codes: Vec<u16> = (0..50)
+            .map(|site| {
+                let g = sampler.sample(&mut KeyedRng::for_stream(key, site));
+                adc.convert_with_noise(0.5, g)
+            })
+            .collect();
         let distinct: std::collections::HashSet<_> = codes.iter().collect();
         assert!(distinct.len() > 1, "noise produced identical codes");
         // All stay near mid-scale.

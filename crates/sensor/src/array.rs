@@ -4,39 +4,16 @@
 use hirise_imaging::{Plane, Rect, RgbImage};
 use rand::distributions::NormalSampler;
 
-use crate::noise::{self, domain, NoiseRngMode};
+use crate::noise::{self, domain};
 use crate::pixel::PixelParams;
 use crate::shard::{shard_rows, ShardPool};
 
-/// Deterministic per-position Gaussian-ish mismatch (sum of four uniforms,
-/// variance-corrected), so the fixed pattern is stable across captures of
-/// the same array.
-///
-/// Takes the already-combined position seed
-/// (`seed ^ (channel << 56) ^ (y << 28) ^ x`) so row loops hoist the
-/// `seed ^ channel ^ y` part and only XOR in `x` per pixel.
-#[inline]
-fn fpn_hash(mut h: u64) -> f64 {
-    let mut acc = 0.0f64;
-    for _ in 0..4 {
-        // splitmix64 step
-        h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = h;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        acc += (z >> 40) as f64 / (1u64 << 24) as f64 - 0.5;
-    }
-    // Sum of 4 U(-0.5, 0.5) has variance 4/12; scale to unit variance.
-    acc / (4.0f64 / 12.0).sqrt()
-}
-
 /// Cached scaled fixed-pattern mismatch values for one
-/// `(seed, width, height, noise mode)` realisation.
+/// `(seed, width, height)` realisation.
 ///
 /// The fixed pattern is a pure function of the seed and the pixel
-/// position (in **both** noise modes), so recomputing it on every
-/// [`PixelArray::refill_from_scene`] repeats the per-sub-pixel hash or
+/// position, so recomputing it on every
+/// [`PixelArray::refill_from_scene`] repeats the per-sub-pixel keyed
 /// Ziggurat work per frame for values that never change. The cache
 /// stores the already-scaled `σ · mismatch(…)` terms — 8 bytes per
 /// sub-pixel per *active* mismatch kind (a kind whose sigma is zero gets
@@ -47,7 +24,7 @@ fn fpn_hash(mut h: u64) -> f64 {
 /// as before.
 #[derive(Debug, Clone, Default)]
 struct FpnCache {
-    key: Option<(u64, u32, u32, NoiseRngMode)>,
+    key: Option<(u64, u32, u32)>,
     /// Channel-major `3 · w · h` scaled PRNU terms (empty when
     /// `prnu_sigma == 0`).
     prnu: Vec<f64>,
@@ -61,11 +38,11 @@ impl FpnCache {
     /// `f64` tables across both kinds and all three channels).
     const MAX_SITES: usize = 1 << 20;
 
-    /// Makes the cache hold the realisation for `(seed, w, h, mode)`
-    /// under `params` (fixed per array), reusing buffer capacity; no-op
-    /// when it already does.
-    fn ensure(&mut self, seed: u64, w: u32, h: u32, params: &PixelParams, mode: NoiseRngMode) {
-        if self.key == Some((seed, w, h, mode)) {
+    /// Makes the cache hold the realisation for `(seed, w, h)` under
+    /// `params` (fixed per array), reusing buffer capacity; no-op when it
+    /// already does.
+    fn ensure(&mut self, seed: u64, w: u32, h: u32, params: &PixelParams) {
+        if self.key == Some((seed, w, h)) {
             return;
         }
         let sites = w as usize * h as usize;
@@ -79,47 +56,19 @@ impl FpnCache {
         if need_dsnu {
             self.dsnu.reserve(3 * sites);
         }
-        match mode {
-            NoiseRngMode::Sequential => {
-                for ch in 0..3u64 {
-                    for y in 0..h as u64 {
-                        let row_seed = seed ^ (ch << 56) ^ (y << 28);
-                        let row_seed_dsnu = (seed ^ 0xABCD) ^ (ch << 56) ^ (y << 28);
-                        for x in 0..w as u64 {
-                            if need_prnu {
-                                self.prnu.push(params.prnu_sigma * fpn_hash(row_seed ^ x));
-                            }
-                            if need_dsnu {
-                                self.dsnu.push(params.dsnu_sigma * fpn_hash(row_seed_dsnu ^ x));
-                            }
-                        }
-                    }
-                }
+        let sampler = NormalSampler::new();
+        let key = noise::fpn_key(seed);
+        for site in 0..3 * sites as u64 {
+            if need_prnu {
+                let g = noise::site_normal(&sampler, key, noise::stream(domain::FPN_PRNU, site));
+                self.prnu.push(params.prnu_sigma * g);
             }
-            NoiseRngMode::Keyed => {
-                let sampler = NormalSampler::new();
-                let key = noise::fpn_key(seed);
-                for site in 0..3 * sites as u64 {
-                    if need_prnu {
-                        let g = noise::site_normal(
-                            &sampler,
-                            key,
-                            noise::stream(domain::FPN_PRNU, site),
-                        );
-                        self.prnu.push(params.prnu_sigma * g);
-                    }
-                    if need_dsnu {
-                        let g = noise::site_normal(
-                            &sampler,
-                            key,
-                            noise::stream(domain::FPN_DSNU, site),
-                        );
-                        self.dsnu.push(params.dsnu_sigma * g);
-                    }
-                }
+            if need_dsnu {
+                let g = noise::site_normal(&sampler, key, noise::stream(domain::FPN_DSNU, site));
+                self.dsnu.push(params.dsnu_sigma * g);
             }
         }
-        self.key = Some((seed, w, h, mode));
+        self.key = Some((seed, w, h));
     }
 }
 
@@ -137,31 +86,27 @@ pub struct PixelArray {
 
 impl PixelArray {
     /// Captures `scene` (normalised irradiance per channel) onto the array
-    /// with the legacy [`NoiseRngMode::Sequential`] fixed pattern.
+    /// on one thread — the same planes [`crate::Sensor::capture`] builds.
     ///
     /// `seed` selects the fixed-pattern noise realisation; the same seed
     /// reproduces the same mismatch map.
     pub fn from_scene(scene: &RgbImage, params: PixelParams, seed: u64) -> Self {
-        Self::from_scene_with(scene, params, seed, NoiseRngMode::Sequential, 1, None)
+        Self::from_scene_with(scene, params, seed, 1, None)
     }
 
-    /// Captures `scene` under an explicit noise mode (the mode selects
-    /// the fixed-pattern generator: the legacy position hash for
-    /// `Sequential`, position-keyed Ziggurat Gaussians for `Keyed`),
-    /// optionally row-sharding the fill like
+    /// Captures `scene`, optionally row-sharding the fill like
     /// [`PixelArray::refill_from_scene_with`].
     pub(crate) fn from_scene_with(
         scene: &RgbImage,
         params: PixelParams,
         seed: u64,
-        mode: NoiseRngMode,
         shards: usize,
         pool: Option<&ShardPool>,
     ) -> Self {
         let (w, h) = scene.dimensions();
         let planes = [Plane::new(w, h), Plane::new(w, h), Plane::new(w, h)];
         let mut array = Self { planes, params, fpn: FpnCache::default() };
-        array.refill_from_scene_with(scene, seed, mode, shards, pool);
+        array.refill_from_scene_with(scene, seed, shards, pool);
         array
     }
 
@@ -171,18 +116,17 @@ impl PixelArray {
     /// [`PixelArray::from_scene`] — refilling with the same scene and seed
     /// reproduces the same voltages bit-for-bit.
     pub fn refill_from_scene(&mut self, scene: &RgbImage, seed: u64) {
-        self.refill_from_scene_with(scene, seed, NoiseRngMode::Sequential, 1, None);
+        self.refill_from_scene_with(scene, seed, 1, None);
     }
 
-    /// Mode- and shard-aware recapture. The fixed pattern is a pure
-    /// function of `(seed, mode, position)`, so the row-sharded fill is
-    /// bit-identical at every shard count in both modes; `shards`/`pool`
-    /// only govern how the work is spread.
+    /// Shard-aware recapture. The fixed pattern is a pure function of
+    /// `(seed, position)`, so the row-sharded fill is bit-identical at
+    /// every shard count; `shards`/`pool` only govern how the work is
+    /// spread.
     pub(crate) fn refill_from_scene_with(
         &mut self,
         scene: &RgbImage,
         seed: u64,
-        mode: NoiseRngMode,
         shards: usize,
         pool: Option<&ShardPool>,
     ) {
@@ -192,17 +136,15 @@ impl PixelArray {
             plane.reshape_for_overwrite(w, h);
         }
         let params = self.params;
-        Self::fill(&mut self.planes, &mut self.fpn, scene, &params, seed, mode, shards, pool);
+        Self::fill(&mut self.planes, &mut self.fpn, scene, &params, seed, shards, pool);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn fill(
         planes: &mut [Plane; 3],
         fpn: &mut FpnCache,
         scene: &RgbImage,
         params: &PixelParams,
         seed: u64,
-        mode: NoiseRngMode,
         shards: usize,
         pool: Option<&ShardPool>,
     ) {
@@ -224,7 +166,7 @@ impl PixelArray {
         let noiseless = !need_prnu && !need_dsnu;
         let cached = !noiseless && sites <= FpnCache::MAX_SITES;
         if cached {
-            fpn.ensure(seed, w, h, params, mode);
+            fpn.ensure(seed, w, h, params);
         }
         for (ch, src) in scene.planes().into_iter().enumerate() {
             let dst = &mut planes[ch];
@@ -261,60 +203,22 @@ impl PixelArray {
                         }
                     }
                 } else {
-                    match mode {
-                        NoiseRngMode::Sequential => Self::fill_band_hashed(
-                            src_band, dst_band, params, seed, ch, y0, wz, need_prnu, need_dsnu,
-                        ),
-                        NoiseRngMode::Keyed => Self::fill_band_keyed(
-                            src_band,
-                            dst_band,
-                            params,
-                            seed,
-                            ch * sites + y0 * wz,
-                            need_prnu,
-                            need_dsnu,
-                        ),
-                    }
+                    Self::fill_band_keyed(
+                        src_band,
+                        dst_band,
+                        params,
+                        seed,
+                        ch * sites + y0 * wz,
+                        need_prnu,
+                        need_dsnu,
+                    );
                 }
             });
         }
     }
 
-    /// Uncached `Sequential` fixed pattern for the rows starting at `y0`:
-    /// the legacy per-position hash, unchanged.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_band_hashed(
-        src_band: &[f32],
-        dst_band: &mut [f32],
-        params: &PixelParams,
-        seed: u64,
-        ch: usize,
-        y0: usize,
-        wz: usize,
-        need_prnu: bool,
-        need_dsnu: bool,
-    ) {
-        for (dy, (src_row, dst_row)) in
-            src_band.chunks_exact(wz).zip(dst_band.chunks_exact_mut(wz)).enumerate()
-        {
-            let y = (y0 + dy) as u64;
-            let row_seed = seed ^ ((ch as u64) << 56) ^ (y << 28);
-            let row_seed_dsnu = (seed ^ 0xABCD) ^ ((ch as u64) << 56) ^ (y << 28);
-            for (x, (&irr, out)) in src_row.iter().zip(dst_row.iter_mut()).enumerate() {
-                let prnu =
-                    if need_prnu { params.prnu_sigma * fpn_hash(row_seed ^ x as u64) } else { 0.0 };
-                let dsnu = if need_dsnu {
-                    params.dsnu_sigma * fpn_hash(row_seed_dsnu ^ x as u64)
-                } else {
-                    0.0
-                };
-                *out = params.voltage_with_mismatch(irr, prnu, dsnu) as f32;
-            }
-        }
-    }
-
-    /// Uncached `Keyed` fixed pattern: a position-keyed Ziggurat Gaussian
-    /// per sub-pixel, matching what [`FpnCache::ensure`] would tabulate.
+    /// Uncached fixed pattern: a position-keyed Ziggurat Gaussian per
+    /// sub-pixel, matching what [`FpnCache::ensure`] would tabulate.
     fn fill_band_keyed(
         src_band: &[f32],
         dst_band: &mut [f32],
@@ -414,6 +318,7 @@ impl PixelArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Sensor, SensorConfig};
 
     fn flat_scene(level: f32) -> RgbImage {
         RgbImage::from_fn(8, 8, |_, _| (level, level, level))
@@ -434,8 +339,46 @@ mod tests {
         let a = PixelArray::from_scene(&flat_scene(0.5), p, 7);
         let b = PixelArray::from_scene(&flat_scene(0.5), p, 7);
         let c = PixelArray::from_scene(&flat_scene(0.5), p, 8);
-        assert_eq!(a.voltage(0, 2, 2), b.voltage(0, 2, 2));
-        assert_ne!(a.voltage(0, 2, 2), c.voltage(0, 2, 2));
+        for ch in 0..3 {
+            assert_eq!(a.plane(ch), b.plane(ch), "channel {ch} not reproducible");
+        }
+        assert_ne!(a.voltage(0, 2, 2), c.voltage(0, 2, 2), "seed ignored");
+    }
+
+    #[test]
+    fn keyed_fpn_is_deterministic_and_distinct_from_hash() {
+        // With the legacy hash pattern gone, "distinct" checks that the
+        // keyed draws differ per seed, per channel and per pixel rather
+        // than repeating one shared value.
+        let p = PixelParams::default();
+        let pool = crate::shard::ShardPool::new(3);
+        let scene = flat_scene(0.5);
+        let a = PixelArray::from_scene_with(&scene, p, 7, 3, Some(&pool));
+        let b = PixelArray::from_scene_with(&scene, p, 7, 3, Some(&pool));
+        let c = PixelArray::from_scene_with(&scene, p, 8, 3, Some(&pool));
+        for ch in 0..3 {
+            assert_eq!(a.plane(ch), b.plane(ch), "channel {ch} not reproducible");
+        }
+        assert_ne!(a.voltage(0, 2, 2), c.voltage(0, 2, 2), "seed ignored");
+        assert_ne!(a.voltage(0, 2, 2), a.voltage(1, 2, 2), "channels share a pattern");
+        assert_ne!(a.voltage(0, 2, 2), a.voltage(0, 3, 2), "pixels share a pattern");
+    }
+
+    #[test]
+    fn from_scene_matches_sensor_capture() {
+        // The public constructor and the sensor realise one fixed
+        // pattern: same planes at every shard count.
+        let scene = RgbImage::from_fn(9, 13, |x, y| (x as f32 / 9.0, y as f32 / 13.0, 0.4));
+        for (params, seed) in [(PixelParams::default(), 5), (PixelParams::noiseless(), 6)] {
+            let array = PixelArray::from_scene(&scene, params, seed);
+            for shards in [1, 3] {
+                let config = SensorConfig { pixel: params, seed, shards, ..Default::default() };
+                let sensor = Sensor::capture(&scene, config);
+                for ch in 0..3 {
+                    assert_eq!(array.plane(ch), sensor.array().plane(ch), "shards {shards}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -492,47 +435,37 @@ mod tests {
     }
 
     #[test]
-    fn keyed_fpn_is_deterministic_and_distinct_from_hash() {
-        let p = PixelParams::default();
-        let a = PixelArray::from_scene_with(&flat_scene(0.5), p, 7, NoiseRngMode::Keyed, 1, None);
-        let b = PixelArray::from_scene_with(&flat_scene(0.5), p, 7, NoiseRngMode::Keyed, 1, None);
-        let c = PixelArray::from_scene_with(&flat_scene(0.5), p, 8, NoiseRngMode::Keyed, 1, None);
-        let hash = PixelArray::from_scene(&flat_scene(0.5), p, 7);
-        for ch in 0..3 {
-            assert_eq!(a.plane(ch), b.plane(ch), "channel {ch} not reproducible");
-        }
-        assert_ne!(a.voltage(0, 2, 2), c.voltage(0, 2, 2), "seed ignored");
-        assert_ne!(a.voltage(0, 2, 2), hash.voltage(0, 2, 2), "modes share a pattern");
-    }
-
-    #[test]
     fn keyed_refill_matches_fresh_capture() {
+        // Same dimensions, new seed: the fixed-pattern cache is keyed on
+        // the seed too, so every refill must equal a fresh capture.
         let p = PixelParams::default();
-        let small = flat_scene(0.3);
-        let big = RgbImage::from_fn(12, 10, |x, y| (x as f32 / 12.0, y as f32 / 10.0, 0.5));
-        let mut arr = PixelArray::from_scene_with(&small, p, 7, NoiseRngMode::Keyed, 1, None);
-        arr.refill_from_scene_with(&big, 9, NoiseRngMode::Keyed, 1, None);
-        let fresh = PixelArray::from_scene_with(&big, p, 9, NoiseRngMode::Keyed, 1, None);
-        for ch in 0..3 {
-            assert_eq!(arr.plane(ch), fresh.plane(ch), "channel {ch}");
+        let scene = RgbImage::from_fn(12, 10, |x, y| (x as f32 / 12.0, y as f32 / 10.0, 0.5));
+        let mut arr = PixelArray::from_scene(&scene, p, 7);
+        for seed in [9, 7, 9] {
+            arr.refill_from_scene(&scene, seed);
+            let fresh = PixelArray::from_scene(&scene, p, seed);
+            for ch in 0..3 {
+                assert_eq!(arr.plane(ch), fresh.plane(ch), "seed {seed} channel {ch}");
+            }
         }
     }
 
     #[test]
     fn sharded_refill_is_bit_identical_in_both_modes() {
-        let p = PixelParams::default();
+        // Both fill modes — the noiseless transfer and the fixed-pattern
+        // mismatch — give the same planes at every shard count.
         let scene = RgbImage::from_fn(9, 13, |x, y| (x as f32 / 9.0, y as f32 / 13.0, 0.4));
         let pool = crate::shard::ShardPool::new(3);
-        for mode in [NoiseRngMode::Sequential, NoiseRngMode::Keyed] {
-            let reference = PixelArray::from_scene_with(&scene, p, 11, mode, 1, None);
+        for p in [PixelParams::noiseless(), PixelParams::default()] {
+            let reference = PixelArray::from_scene(&scene, p, 11);
             for shards in [2usize, 4, 13] {
-                let mut sharded = PixelArray::from_scene_with(&scene, p, 11, mode, 1, None);
-                sharded.refill_from_scene_with(&scene, 11, mode, shards, Some(&pool));
+                let mut sharded = PixelArray::from_scene(&scene, p, 11);
+                sharded.refill_from_scene_with(&scene, 11, shards, Some(&pool));
                 for ch in 0..3 {
                     assert_eq!(
                         sharded.plane(ch),
                         reference.plane(ch),
-                        "{mode:?} shards={shards} channel {ch}"
+                        "{p:?} shards={shards} channel {ch}"
                     );
                 }
             }
@@ -546,7 +479,7 @@ mod tests {
         // against a cache-built capture.
         let p = PixelParams::default();
         let scene = RgbImage::from_fn(6, 4, |x, y| (x as f32 / 6.0, y as f32 / 4.0, 0.5));
-        let arr = PixelArray::from_scene_with(&scene, p, 21, NoiseRngMode::Keyed, 1, None);
+        let arr = PixelArray::from_scene(&scene, p, 21);
         let (wz, sites) = (6usize, 24usize);
         let src = scene.planes()[1].as_slice();
         let band = &src[wz..3 * wz];

@@ -63,7 +63,6 @@ mod error;
 pub use adc::Adc;
 pub use array::PixelArray;
 pub use error::SensorError;
-pub use noise::NoiseRngMode;
 pub use pixel::PixelParams;
 pub use pooling::PoolingConfig;
 pub use sensor::{ColorMode, ReadoutStats, Sensor, SensorConfig};

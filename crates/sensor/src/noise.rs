@@ -1,31 +1,20 @@
-//! Noise-synthesis modes and the position-keyed draw plumbing.
+//! Position-keyed noise draws.
 //!
 //! The sensor models three stochastic ingredients — fixed-pattern
-//! mismatch, temporal read noise, and ADC conversion noise — and offers
-//! two ways to realise them ([`NoiseRngMode`]):
-//!
-//! * **`Sequential`** (legacy): every draw comes from one sequential
-//!   generator in traversal order. Bit-identical to the historical
-//!   implementation (Box–Muller over the xoshiro `StdRng`), which is why
-//!   it is retained: committed goldens and any externally recorded
-//!   streams keep reproducing exactly. The cost is a total order on
-//!   draws — no two sites can be computed concurrently, and skipping a
-//!   site shifts every later value.
-//!
-//! * **`Keyed`** (default): every draw is a pure function of *where* and
-//!   *when* it happens — `(seed, readout op, domain, site)` — through the
-//!   counter-based [`rand::rngs::KeyedRng`] and the Ziggurat
-//!   [`NormalSampler`]. Values no longer depend on traversal order, so
-//!   row ranges of a frame can be computed on different threads (or in
-//!   any order) with bit-identical results. Overlapping ROI readouts of
-//!   one request see the same pixel values, so the ROI kernel converts
-//!   the union of the boxes once (later crops copy the runs earlier ones
-//!   hold) and row-shards each crop like a capture. It is also markedly
-//!   faster: the Ziggurat common case is one `u64` block and one
-//!   multiply versus Box–Muller's `ln`/`sqrt`/`cos` per draw, with the
-//!   sign applied branch-free. That matters most where the fixed
-//!   pattern is too large to cache (`FpnCache::MAX_SITES`, 1 Mi sites):
-//!   a 2560×1920 capture redraws it from 29.5 M keyed draws per frame.
+//! mismatch, temporal read noise, and ADC conversion noise — and realises
+//! all of them the same way: every draw is a pure function of *where*
+//! and *when* it happens — `(seed, readout op, domain, site)` — through
+//! the counter-based [`rand::rngs::KeyedRng`] and the Ziggurat
+//! [`NormalSampler`]. Values do not depend on traversal order, so row
+//! ranges of a frame can be computed on different threads (or in any
+//! order) with bit-identical results. Overlapping ROI readouts of one
+//! request see the same pixel values, so the ROI kernel converts the
+//! union of the boxes once (later crops copy the runs earlier ones hold)
+//! and row-shards each crop like a capture. The Ziggurat common case is
+//! one `u64` block and one multiply per draw, with the sign applied
+//! branch-free. That matters most where the fixed pattern is too large
+//! to cache (`FpnCache::MAX_SITES`, 1 Mi sites): a 2560×1920 capture
+//! redraws it from 29.5 M keyed draws per frame.
 //!
 //! The key layout: a per-readout key is derived from
 //! `(noise seed, op counter)` with `frame_key`; each individual draw
@@ -36,43 +25,8 @@
 use rand::distributions::NormalSampler;
 use rand::rngs::KeyedRng;
 
-/// How the sensor realises its stochastic noise terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum NoiseRngMode {
-    /// One sequential generator, draws in traversal order. Preserves the
-    /// historical bit streams (legacy goldens) at the cost of a total
-    /// order on draws.
-    Sequential,
-    /// Counter-based position-keyed draws: each value is a pure function
-    /// of its coordinates. Order-independent, row-shardable, and the
-    /// fast path.
-    #[default]
-    Keyed,
-}
-
-impl std::fmt::Display for NoiseRngMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NoiseRngMode::Sequential => write!(f, "sequential"),
-            NoiseRngMode::Keyed => write!(f, "keyed"),
-        }
-    }
-}
-
-impl std::str::FromStr for NoiseRngMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "sequential" | "seq" => Ok(NoiseRngMode::Sequential),
-            "keyed" | "key" => Ok(NoiseRngMode::Keyed),
-            other => Err(format!("unknown noise mode {other:?} (expected sequential|keyed)")),
-        }
-    }
-}
-
-/// XOR mask decorrelating the temporal-noise stream from the
-/// fixed-pattern seed (shared by both modes).
+/// XOR mask decorrelating the temporal-noise keys from the
+/// fixed-pattern seed.
 pub(crate) const TEMPORAL_SEED_MASK: u64 = 0x0123_4567_89AB_CDEF;
 
 /// Draw-stream domains: the top byte of a stream id. Keeps the noise of
@@ -118,8 +72,8 @@ pub(crate) fn fpn_key(seed: u64) -> u64 {
     KeyedRng::derive_key(seed, 0)
 }
 
-/// One standard-normal draw for a `(key, stream)` position — the
-/// keyed-mode unit of noise.
+/// One standard-normal draw for a `(key, stream)` position — the unit
+/// of noise.
 #[inline]
 pub(crate) fn site_normal(sampler: &NormalSampler, key: u64, stream_id: u64) -> f64 {
     sampler.sample(&mut KeyedRng::for_stream(key, stream_id))
@@ -128,16 +82,6 @@ pub(crate) fn site_normal(sampler: &NormalSampler, key: u64, stream_id: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parses_and_displays() {
-        assert_eq!("keyed".parse::<NoiseRngMode>().unwrap(), NoiseRngMode::Keyed);
-        assert_eq!("Sequential".parse::<NoiseRngMode>().unwrap(), NoiseRngMode::Sequential);
-        assert!("boxmuller".parse::<NoiseRngMode>().is_err());
-        assert_eq!(NoiseRngMode::Keyed.to_string(), "keyed");
-        assert_eq!(NoiseRngMode::Sequential.to_string(), "sequential");
-        assert_eq!(NoiseRngMode::default(), NoiseRngMode::Keyed);
-    }
 
     #[test]
     fn site_draws_are_position_pure() {

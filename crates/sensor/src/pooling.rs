@@ -15,23 +15,12 @@
 use hirise_imaging::Plane;
 use rand::distributions::NormalSampler;
 use rand::rngs::KeyedRng;
-use rand::Rng;
 
 use crate::adc::Adc;
 use crate::array::PixelArray;
 use crate::noise::{self, domain};
 use crate::shard::{shard_rows, SendPtr, ShardPool};
 use crate::{Result, SensorError};
-
-/// Standard Gaussian sample via Box–Muller — the retained sequential
-/// reference (`NoiseRngMode::Sequential` draws exclusively through this,
-/// keeping legacy noise streams bit-identical; the keyed path uses the
-/// Ziggurat sampler instead).
-pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(1e-12..1.0);
-    let u2: f64 = rng.gen::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
 
 /// Behavioural parameters of the analog pooling circuit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,157 +105,17 @@ pub(crate) fn validate_pooling(array: &PixelArray, k: u32) -> Result<()> {
     Ok(())
 }
 
-/// Pools one channel of the array with `k×k` sites, returning the analog
-/// voltages at the `avg` nodes.
-///
-/// # Errors
-///
-/// [`SensorError::InvalidPooling`] when `k` does not tile the array.
-pub fn pool_channel<R: Rng + ?Sized>(
-    array: &PixelArray,
-    channel: usize,
-    k: u32,
-    cfg: &PoolingConfig,
-    rng: &mut R,
-) -> Result<Plane> {
-    validate_pooling(array, k)?;
-    // Construct at the final size (one exact allocation) instead of
-    // growing a 1×1 placeholder through the `_into` path.
-    let mut out = Plane::new(array.width() / k, array.height() / k);
-    pool_channel_into(array, channel, k, cfg, rng, &mut out)?;
-    Ok(out)
-}
-
-/// In-place variant of [`pool_channel`]: writes the analog voltages into
-/// `out` (reshaped to `(w/k, h/k)` reusing its buffer). Draws from `rng`
-/// in exactly the same order as the allocating path, so results are
-/// bit-identical.
-///
-/// # Errors
-///
-/// [`SensorError::InvalidPooling`] when `k` does not tile the array.
-// lint: zero-alloc
-pub fn pool_channel_into<R: Rng + ?Sized>(
-    array: &PixelArray,
-    channel: usize,
-    k: u32,
-    cfg: &PoolingConfig,
-    rng: &mut R,
-    out: &mut Plane,
-) -> Result<()> {
-    validate_pooling(array, k)?;
-    let params = *array.params();
-    let n_inputs = (k * k) as f64;
-    let read_sigma = params.read_noise / n_inputs.sqrt();
-    let sigma = (cfg.noise_sigma * cfg.noise_sigma + read_sigma * read_sigma).sqrt();
-    let (ow, oh) = (array.width() / k, array.height() / k);
-    // Each charge-sharing site sums its k×k sub-pixels over row slices
-    // (hoisted per output row) in the same sequential order as
-    // `PixelArray::mean_window`, so voltages are bit-identical.
-    let area = (k as u64 * k as u64) as f64;
-    let plane = array.plane(channel);
-    let ku = k as usize;
-    out.reshape_for_overwrite(ow, oh);
-    for oy in 0..oh {
-        let y0 = oy * k;
-        for (ox, site) in out.row_mut(oy).iter_mut().enumerate() {
-            let x0 = ox * ku;
-            let mut acc = 0.0f64;
-            for dy in 0..k {
-                for &v in &plane.row(y0 + dy)[x0..x0 + ku] {
-                    acc += v as f64;
-                }
-            }
-            let mut v = cfg.transfer(acc / area, params.v_dark, params.v_sat);
-            if sigma > 0.0 {
-                v += sigma * gaussian(rng);
-            }
-            *site = v as f32;
-        }
-    }
-    Ok(())
-}
-
-/// Pools all three channels together (`k·k·3` inputs per site) — the
-/// combined grayscale + pooling configuration.
-///
-/// # Errors
-///
-/// [`SensorError::InvalidPooling`] when `k` does not tile the array.
-pub fn pool_gray<R: Rng + ?Sized>(
-    array: &PixelArray,
-    k: u32,
-    cfg: &PoolingConfig,
-    rng: &mut R,
-) -> Result<Plane> {
-    validate_pooling(array, k)?;
-    let mut out = Plane::new(array.width() / k, array.height() / k);
-    pool_gray_into(array, k, cfg, rng, &mut out)?;
-    Ok(out)
-}
-
-/// In-place variant of [`pool_gray`]; see [`pool_channel_into`] for the
-/// reuse and determinism contract.
-///
-/// # Errors
-///
-/// [`SensorError::InvalidPooling`] when `k` does not tile the array.
-pub fn pool_gray_into<R: Rng + ?Sized>(
-    array: &PixelArray,
-    k: u32,
-    cfg: &PoolingConfig,
-    rng: &mut R,
-    out: &mut Plane,
-) -> Result<()> {
-    validate_pooling(array, k)?;
-    let params = *array.params();
-    let n_inputs = (k * k * 3) as f64;
-    let read_sigma = params.read_noise / n_inputs.sqrt();
-    let sigma = (cfg.noise_sigma * cfg.noise_sigma + read_sigma * read_sigma).sqrt();
-    let (ow, oh) = (array.width() / k, array.height() / k);
-    // Row-sliced per-channel sums in `PixelArray::mean_window`'s order,
-    // combined exactly like `PixelArray::mean_window_rgb` (per-channel
-    // mean first, then the three-way average), so voltages are
-    // bit-identical to the per-pixel formulation.
-    let area = (k as u64 * k as u64) as f64;
-    let planes = [array.plane(0), array.plane(1), array.plane(2)];
-    let ku = k as usize;
-    out.reshape_for_overwrite(ow, oh);
-    for oy in 0..oh {
-        let y0 = oy * k;
-        for (ox, site) in out.row_mut(oy).iter_mut().enumerate() {
-            let x0 = ox * ku;
-            let mut channel_means = [0.0f64; 3];
-            for (plane, mean) in planes.iter().zip(channel_means.iter_mut()) {
-                let mut acc = 0.0f64;
-                for dy in 0..k {
-                    for &v in &plane.row(y0 + dy)[x0..x0 + ku] {
-                        acc += v as f64;
-                    }
-                }
-                *mean = acc / area;
-            }
-            let mean = (channel_means[0] + channel_means[1] + channel_means[2]) / 3.0;
-            let mut v = cfg.transfer(mean, params.v_dark, params.v_sat);
-            if sigma > 0.0 {
-                v += sigma * gaussian(rng);
-            }
-            *site = v as f32;
-        }
-    }
-    Ok(())
-}
-
-/// Position-keyed, fused pool + stage-1 digitise of one channel: the
-/// `NoiseRngMode::Keyed` fast path. Writes the analog site voltages to
-/// `analog` and the converted unit-range image to `out` in one pass.
+/// Position-keyed, fused pool + stage-1 digitise of one channel (`k×k`
+/// sub-pixels per site). Writes the analog site voltages to `analog`
+/// and the converted unit-range image to `out` in one pass.
 ///
 /// Every site's noise comes from its own counter-based stream
 /// (`(key, POOL-domain + channel, site index)`: one pooling draw, then
 /// one ADC draw), so the result is a pure function of position — the row
 /// bands can be computed on any shard layout with bit-identical output.
-/// The deterministic part (site sums, transfer, quantisation) replicates
-/// the sequential kernels' operation order exactly.
+/// Each site sums its sub-pixels over row slices in
+/// [`PixelArray::mean_window`]'s order, so the noiseless analog output is
+/// exactly `cfg.transfer(mean_window(..))`.
 ///
 /// # Errors
 ///
@@ -314,8 +163,8 @@ pub(crate) fn pool_channel_keyed(
     Ok(())
 }
 
-/// Position-keyed, fused gray pool + digitise (`k·k·3` inputs per site);
-/// the keyed counterpart of [`pool_gray_into`] plus conversion. See
+/// Position-keyed, fused gray pool + digitise (`k·k·3` inputs per site,
+/// the combined grayscale + pooling configuration). See
 /// [`pool_channel_keyed`] for the determinism contract.
 ///
 /// # Errors
@@ -339,7 +188,7 @@ pub(crate) fn pool_gray_keyed(
     let planes = [array.plane(0), array.plane(1), array.plane(2)];
     let ku = k as usize;
     // Per-channel means first, then the three-way average — exactly like
-    // `pool_gray_into` / `PixelArray::mean_window_rgb`.
+    // `PixelArray::mean_window_rgb`.
     pool_keyed_fused(array, k, sigma, cfg, adc, key, domain::POOL, shards, pool, analog, out, {
         |y0, x0| {
             let mut channel_means = [0.0f64; 3];
@@ -370,6 +219,7 @@ fn combined_sigma(cfg: &PoolingConfig, read_noise: f64, n_inputs: f64) -> f64 {
 /// `site_mean(y0, x0)` for each site's mean input voltage (the only part
 /// that differs between the channel and gray configurations), then
 /// transfer + keyed noise + fused ADC conversion.
+// lint: zero-alloc
 #[allow(clippy::too_many_arguments)]
 fn pool_keyed_fused<M: Fn(usize, usize) -> f64 + Sync>(
     array: &PixelArray,
@@ -426,13 +276,34 @@ fn pool_keyed_fused<M: Fn(usize, usize) -> f64 + Sync>(
 mod tests {
     use super::*;
     use crate::pixel::PixelParams;
-    use hirise_imaging::RgbImage;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::SensorError;
+    use hirise_imaging::{Rect, RgbImage};
 
     fn array(level: f32, w: u32, h: u32) -> PixelArray {
         let scene = RgbImage::from_fn(w, h, |_, _| (level, level, level));
         PixelArray::from_scene(&scene, PixelParams::noiseless(), 0)
+    }
+
+    /// Keyed channel pool on one thread: `(analog, digital)` planes.
+    fn pool_channel(
+        arr: &PixelArray,
+        channel: usize,
+        k: u32,
+        cfg: &PoolingConfig,
+        key: u64,
+    ) -> Result<(Plane, Plane)> {
+        let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
+        let adc = Adc::paper_default();
+        pool_channel_keyed(arr, channel, k, cfg, &adc, key, 1, None, &mut analog, &mut out)?;
+        Ok((analog, out))
+    }
+
+    /// Keyed gray pool on one thread: `(analog, digital)` planes.
+    fn pool_gray(arr: &PixelArray, k: u32, cfg: &PoolingConfig, key: u64) -> (Plane, Plane) {
+        let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
+        let adc = Adc::paper_default();
+        pool_gray_keyed(arr, k, cfg, &adc, key, 1, None, &mut analog, &mut out).unwrap();
+        (analog, out)
     }
 
     #[test]
@@ -446,8 +317,7 @@ mod tests {
     fn ideal_pooling_of_flat_field() {
         let arr = array(0.5, 8, 8);
         let cfg = PoolingConfig::ideal();
-        let mut rng = StdRng::seed_from_u64(1);
-        let p = pool_channel(&arr, 0, 4, &cfg, &mut rng).unwrap();
+        let (p, _) = pool_channel(&arr, 0, 4, &cfg, 1).unwrap();
         assert_eq!(p.dimensions(), (2, 2));
         let expected = cfg.gain * 0.6 + cfg.offset;
         for &v in p.as_slice() {
@@ -460,8 +330,7 @@ mod tests {
         let scene = RgbImage::from_fn(4, 4, |_, _| (0.0, 0.5, 1.0));
         let arr = PixelArray::from_scene(&scene, PixelParams::noiseless(), 0);
         let cfg = PoolingConfig::ideal();
-        let mut rng = StdRng::seed_from_u64(1);
-        let p = pool_gray(&arr, 2, &cfg, &mut rng).unwrap();
+        let (p, _) = pool_gray(&arr, 2, &cfg, 1);
         // mean irradiance 0.5 -> mean voltage 0.6
         let expected = cfg.gain * 0.6 + cfg.offset;
         for &v in p.as_slice() {
@@ -473,9 +342,10 @@ mod tests {
     fn invalid_factor_rejected() {
         let arr = array(0.5, 6, 6);
         let cfg = PoolingConfig::ideal();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(pool_channel(&arr, 0, 4, &cfg, &mut rng).is_err());
-        assert!(pool_channel(&arr, 0, 0, &cfg, &mut rng).is_err());
+        for k in [4, 0] {
+            let err = pool_channel(&arr, 0, k, &cfg, 1).unwrap_err();
+            assert!(matches!(err, SensorError::InvalidPooling { k: got, .. } if got == k), "{err}");
+        }
     }
 
     #[test]
@@ -486,9 +356,8 @@ mod tests {
         let scene = RgbImage::from_fn(32, 32, |_, _| (0.5, 0.5, 0.5));
         let arr = PixelArray::from_scene(&scene, params, 0);
         let cfg = PoolingConfig { noise_sigma: 0.0, nonlinearity: 0.0, ..PoolingConfig::default() };
-        let mut rng = StdRng::seed_from_u64(42);
-        let p2 = pool_channel(&arr, 0, 2, &cfg, &mut rng).unwrap();
-        let p8 = pool_channel(&arr, 0, 8, &cfg, &mut rng).unwrap();
+        let (p2, _) = pool_channel(&arr, 0, 2, &cfg, crate::noise::frame_key(42, 0)).unwrap();
+        let (p8, _) = pool_channel(&arr, 0, 8, &cfg, crate::noise::frame_key(42, 1)).unwrap();
         let sd = |p: &Plane| {
             let m = p.mean() as f64;
             (p.as_slice().iter().map(|&v| (v as f64 - m).powi(2)).sum::<f64>() / p.len() as f64)
@@ -546,24 +415,37 @@ mod tests {
 
     #[test]
     fn keyed_pool_noiseless_matches_sequential_kernel() {
-        // With every sigma at zero the keyed and sequential pools share
-        // the same deterministic arithmetic, bit for bit, and the fused
-        // conversion reduces to the ideal quantiser.
+        // With every sigma at zero the fused keyed pool reduces to the
+        // scalar per-window reference — `transfer` of
+        // `PixelArray::mean_window` (gray: `mean_window_rgb`), bit for
+        // bit — and its conversion to the ideal quantiser.
         let scene = RgbImage::from_fn(12, 8, |x, y| (x as f32 / 12.0, y as f32 / 8.0, 0.3));
         let arr = PixelArray::from_scene(&scene, PixelParams::noiseless(), 0);
-        let cfg = PoolingConfig::ideal();
-        let adc = Adc::paper_default();
+        let params = *arr.params();
+        let cfg = PoolingConfig { noise_sigma: 0.0, ..PoolingConfig::default() };
+        let adc = Adc::paper_default().with_inl(0.25);
         let key = crate::noise::frame_key(0, 0);
-        let (mut analog_k, mut out_k) = (Plane::new(1, 1), Plane::new(1, 1));
-        pool_channel_keyed(&arr, 0, 2, &cfg, &adc, key, 1, None, &mut analog_k, &mut out_k)
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut analog_s = Plane::new(1, 1);
-        pool_channel_into(&arr, 0, 2, &cfg, &mut rng, &mut analog_s).unwrap();
-        assert_eq!(analog_k, analog_s);
-        for (&a, &o) in analog_s.as_slice().iter().zip(out_k.as_slice()) {
-            assert_eq!(o, adc.code_to_unit(adc.convert_ideal(a as f64)));
+        let k = 2;
+        let check = |analog: &Plane, out: &Plane, mean: &dyn Fn(Rect) -> f64| {
+            assert_eq!(analog.dimensions(), (6, 4));
+            for oy in 0..analog.height() {
+                for ox in 0..analog.width() {
+                    let window = Rect::new(ox * k, oy * k, k, k);
+                    let want = cfg.transfer(mean(window), params.v_dark, params.v_sat) as f32;
+                    let got = analog.get(ox, oy);
+                    assert_eq!(got.to_bits(), want.to_bits(), "site ({ox},{oy})");
+                    assert_eq!(out.get(ox, oy), adc.code_to_unit(adc.convert_ideal(got as f64)));
+                }
+            }
+        };
+        let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
+        for ch in 0..3 {
+            pool_channel_keyed(&arr, ch, k, &cfg, &adc, key, 1, None, &mut analog, &mut out)
+                .unwrap();
+            check(&analog, &out, &|r| arr.mean_window(ch, r));
         }
+        pool_gray_keyed(&arr, k, &cfg, &adc, key, 1, None, &mut analog, &mut out).unwrap();
+        check(&analog, &out, &|r| arr.mean_window_rgb(r));
     }
 
     #[test]

@@ -12,16 +12,14 @@
 //! makes the paper's Fig. 7 transfer shares and Fig. 8 stage-2 energies
 //! consistent with each other.
 
-use hirise_imaging::rect::{sum_area, union_area, union_area_with_scratch, UnionScratch};
+use hirise_imaging::rect::{sum_area, union_area_with_scratch, UnionScratch};
 use hirise_imaging::{FramePool, Rect, RgbImage};
 use rand::distributions::NormalSampler;
 use rand::rngs::KeyedRng;
-use rand::Rng;
 
 use crate::adc::Adc;
 use crate::array::PixelArray;
 use crate::noise::{self, domain};
-use crate::pooling::gaussian;
 use crate::sensor::ReadoutStats;
 use crate::shard::{shard_rows, ShardPool};
 use crate::{Result, SensorError};
@@ -42,52 +40,6 @@ fn check_roi(array: &PixelArray, rect: Rect) -> Result<()> {
         });
     }
     Ok(())
-}
-
-/// Converts the sub-pixels of one ROI through `adc`, returning the digital
-/// image (unit range) without accounting (see [`read_rois`] for stats).
-fn convert_roi<R: Rng + ?Sized>(
-    array: &PixelArray,
-    rect: Rect,
-    adc: &Adc,
-    rng: &mut R,
-) -> RgbImage {
-    let mut out = RgbImage::new(rect.w, rect.h);
-    convert_roi_into(array, rect, adc, rng, &mut out);
-    out
-}
-
-/// Digitises one ROI into `out` (reshaped to the rect, reusing its
-/// buffers) without accounting — the in-place workhorse behind
-/// [`read_roi`] and [`read_rois_into`]. Draws from `rng` in the same
-/// order as the allocating path, so pixel values are bit-identical.
-pub fn convert_roi_into<R: Rng + ?Sized>(
-    array: &PixelArray,
-    rect: Rect,
-    adc: &Adc,
-    rng: &mut R,
-    out: &mut RgbImage,
-) {
-    let params = array.params();
-    let read_noise = params.read_noise;
-    let (x0, w) = (rect.x as usize, rect.w as usize);
-    out.reshape_for_overwrite(rect.w, rect.h);
-    for (ch, plane) in out.planes_mut().into_iter().enumerate() {
-        let src = array.plane(ch);
-        // Paired row slices; conversion order (and the noise stream)
-        // matches the per-pixel loop exactly.
-        for (dy, dst_row) in plane.rows_mut().enumerate() {
-            let src_row = &src.row(rect.y + dy as u32)[x0..x0 + w];
-            for (&sv, o) in src_row.iter().zip(dst_row.iter_mut()) {
-                let mut v = sv as f64;
-                if read_noise > 0.0 {
-                    v += read_noise * gaussian(rng);
-                }
-                let code = adc.convert(v, rng);
-                *o = adc.code_to_unit(code);
-            }
-        }
-    }
 }
 
 /// Position-keyed digitisation of one run of sub-pixels: `src` holds the
@@ -138,7 +90,7 @@ fn next_run(earlier: &[Rect], y: u32, x: u32, right: u32) -> (Option<usize>, u32
     (cover, end.min(right))
 }
 
-/// Keyed counterpart of [`read_roi`]; accounting is identical.
+/// Reads a single full-resolution ROI under the readout key `key`.
 ///
 /// # Errors
 ///
@@ -155,8 +107,12 @@ pub(crate) fn read_roi_keyed(
     Ok((images.pop().expect("one box reads one crop"), stats))
 }
 
-/// Keyed counterpart of [`read_rois`]: one key covers the whole batch,
-/// so overlapping boxes agree bit-for-bit on their shared pixels.
+/// Reads a batch of ROIs under one readout key, so overlapping boxes
+/// agree bit-for-bit on their shared pixels.
+///
+/// Conversions are charged on the union of the boxes; transfer is charged
+/// per box. The boxes' coordinates themselves cost `j · 4 words` in the
+/// opposite direction ([`ReadoutStats::box_words_bits`]).
 ///
 /// # Errors
 ///
@@ -184,8 +140,12 @@ pub(crate) fn read_rois_keyed(
     Ok((images, stats))
 }
 
-/// Keyed counterpart of [`read_rois_into`]: same buffer-recycling
-/// contract, keyed noise, and the one keyed ROI conversion kernel.
+/// In-place counterpart of [`read_rois_keyed`] and the one ROI
+/// conversion kernel: the crops replace the contents of `images`
+/// (entries reused where possible; surplus entries retire to `pool`,
+/// shortfalls are drawn from it) and the union sweep runs on the
+/// caller's [`UnionScratch`]. After a warm-up frame or two the call
+/// performs no heap allocation.
 ///
 /// Each physical sub-pixel is converted once, as the paper's address
 /// encoder does: crop `j` copies the runs an earlier crop `i < j`
@@ -275,114 +235,36 @@ pub(crate) fn read_rois_keyed_into(
     })
 }
 
-/// Reads a single full-resolution ROI.
-///
-/// # Errors
-///
-/// [`SensorError::RoiOutOfBounds`] when the rectangle leaves the array.
-pub fn read_roi<R: Rng + ?Sized>(
-    array: &PixelArray,
-    rect: Rect,
-    adc: &Adc,
-    rng: &mut R,
-) -> Result<(RgbImage, ReadoutStats)> {
-    check_roi(array, rect)?;
-    let img = convert_roi(array, rect, adc, rng);
-    let area = rect.area();
-    let stats = ReadoutStats {
-        conversions: 3 * area,
-        transferred_bits: 3 * area * adc.bits() as u64,
-        box_words_bits: WORDS_PER_BOX * WORD_BITS,
-    };
-    Ok((img, stats))
-}
-
-/// Reads a batch of ROIs.
-///
-/// Conversions are charged on the union of the boxes; transfer is charged
-/// per box. The boxes' coordinates themselves cost
-/// `j · 4 words` in the opposite direction ([`ReadoutStats::box_words_bits`]).
-///
-/// # Errors
-///
-/// [`SensorError::RoiOutOfBounds`] when any rectangle leaves the array.
-pub fn read_rois<R: Rng + ?Sized>(
-    array: &PixelArray,
-    rects: &[Rect],
-    adc: &Adc,
-    rng: &mut R,
-) -> Result<(Vec<RgbImage>, ReadoutStats)> {
-    for &r in rects {
-        check_roi(array, r)?;
-    }
-    let images: Vec<RgbImage> = rects.iter().map(|&r| convert_roi(array, r, adc, rng)).collect();
-    let stats = ReadoutStats {
-        conversions: 3 * union_area(rects),
-        transferred_bits: 3 * sum_area(rects) * adc.bits() as u64,
-        box_words_bits: rects.len() as u64 * WORDS_PER_BOX * WORD_BITS,
-    };
-    Ok((images, stats))
-}
-
-/// In-place counterpart of [`read_rois`]: the crops replace the contents
-/// of `images` (entries reused where possible; surplus entries retire to
-/// `pool`, shortfalls are drawn from it) and the union sweep runs on the
-/// caller's [`UnionScratch`]. After a warm-up frame or two the call
-/// performs no heap allocation. Accounting and pixel values are identical
-/// to [`read_rois`].
-///
-/// # Errors
-///
-/// [`SensorError::RoiOutOfBounds`] when any box leaves the array; `images`
-/// is left unchanged in that case.
-pub fn read_rois_into<R: Rng + ?Sized>(
-    array: &PixelArray,
-    rects: &[Rect],
-    adc: &Adc,
-    rng: &mut R,
-    images: &mut Vec<RgbImage>,
-    pool: &mut FramePool,
-    union: &mut UnionScratch,
-) -> Result<ReadoutStats> {
-    for &r in rects {
-        check_roi(array, r)?;
-    }
-    while images.len() > rects.len() {
-        let surplus = images.pop().expect("length checked");
-        pool.release_rgb(surplus);
-    }
-    for (i, &rect) in rects.iter().enumerate() {
-        if i == images.len() {
-            // convert_roi_into overwrites every sample, so skip zeroing.
-            images.push(pool.acquire_rgb_for_overwrite(rect.w, rect.h));
-        }
-        convert_roi_into(array, rect, adc, rng, &mut images[i]);
-    }
-    Ok(ReadoutStats {
-        conversions: 3 * union_area_with_scratch(rects, union),
-        transferred_bits: 3 * sum_area(rects) * adc.bits() as u64,
-        box_words_bits: rects.len() as u64 * WORDS_PER_BOX * WORD_BITS,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pixel::PixelParams;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use hirise_imaging::rect::union_area;
 
     fn gradient_array() -> PixelArray {
         let scene = RgbImage::from_fn(16, 16, |x, y| (x as f32 / 15.0, y as f32 / 15.0, 0.5));
         PixelArray::from_scene(&scene, PixelParams::noiseless(), 0)
     }
 
+    /// One keyed box on one thread.
+    fn read_roi(arr: &PixelArray, rect: Rect, adc: &Adc) -> Result<(RgbImage, ReadoutStats)> {
+        read_roi_keyed(arr, rect, adc, 1, 1, None)
+    }
+
+    /// One keyed batch on one thread.
+    fn read_rois(
+        arr: &PixelArray,
+        rects: &[Rect],
+        adc: &Adc,
+    ) -> Result<(Vec<RgbImage>, ReadoutStats)> {
+        read_rois_keyed(arr, rects, adc, 1, 1, None)
+    }
+
     #[test]
     fn roi_content_matches_scene() {
         let arr = gradient_array();
         let adc = Adc::paper_default();
-        let mut rng = StdRng::seed_from_u64(1);
-        let (img, _) = read_roi(&arr, Rect::new(4, 8, 4, 4), &adc, &mut rng).unwrap();
+        let (img, _) = read_roi(&arr, Rect::new(4, 8, 4, 4), &adc).unwrap();
         assert_eq!(img.dimensions(), (4, 4));
         // Red channel at (0,0) of the crop corresponds to scene x=4.
         let expected = 4.0 / 15.0;
@@ -395,8 +277,7 @@ mod tests {
     fn roi_stats_single_box() {
         let arr = gradient_array();
         let adc = Adc::paper_default();
-        let mut rng = StdRng::seed_from_u64(1);
-        let (_, stats) = read_roi(&arr, Rect::new(0, 0, 4, 5), &adc, &mut rng).unwrap();
+        let (_, stats) = read_roi(&arr, Rect::new(0, 0, 4, 5), &adc).unwrap();
         assert_eq!(stats.conversions, 3 * 20);
         assert_eq!(stats.transferred_bits, 3 * 20 * 8);
         assert_eq!(stats.box_words_bits, 64);
@@ -406,19 +287,17 @@ mod tests {
     fn out_of_bounds_rejected() {
         let arr = gradient_array();
         let adc = Adc::paper_default();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(read_roi(&arr, Rect::new(14, 0, 4, 4), &adc, &mut rng).is_err());
-        assert!(read_roi(&arr, Rect::new(0, 0, 0, 4), &adc, &mut rng).is_err());
+        assert!(read_roi(&arr, Rect::new(14, 0, 4, 4), &adc).is_err());
+        assert!(read_roi(&arr, Rect::new(0, 0, 0, 4), &adc).is_err());
     }
 
     #[test]
     fn batch_conversions_use_union_transfer_uses_sum() {
         let arr = gradient_array();
         let adc = Adc::paper_default();
-        let mut rng = StdRng::seed_from_u64(1);
         // Two overlapping 8x8 boxes offset by 4: union 96, sum 128.
         let boxes = [Rect::new(0, 0, 8, 8), Rect::new(4, 0, 8, 8)];
-        let (imgs, stats) = read_rois(&arr, &boxes, &adc, &mut rng).unwrap();
+        let (imgs, stats) = read_rois(&arr, &boxes, &adc).unwrap();
         assert_eq!(imgs.len(), 2);
         assert_eq!(stats.conversions, 3 * 96);
         assert_eq!(stats.transferred_bits, 3 * 128 * 8);
@@ -429,41 +308,58 @@ mod tests {
     fn batch_rejects_any_bad_box() {
         let arr = gradient_array();
         let adc = Adc::paper_default();
-        let mut rng = StdRng::seed_from_u64(1);
         let boxes = [Rect::new(0, 0, 4, 4), Rect::new(15, 15, 4, 4)];
-        assert!(read_rois(&arr, &boxes, &adc, &mut rng).is_err());
+        assert!(read_rois(&arr, &boxes, &adc).is_err());
     }
 
     #[test]
     fn read_rois_into_matches_allocating_path() {
+        // The in-place path, row-sharded, against the allocating path on
+        // one thread, with noisy conversions.
         let arr = gradient_array();
-        let adc = Adc::paper_default();
+        let adc = Adc::paper_default().with_noise(0.5e-3);
         let frames: [&[Rect]; 3] = [
             &[Rect::new(0, 0, 8, 8), Rect::new(4, 0, 8, 8), Rect::new(10, 10, 4, 4)],
             &[Rect::new(2, 2, 6, 6)],
             &[Rect::new(1, 1, 5, 9), Rect::new(8, 3, 7, 7)],
         ];
+        let shard_pool = ShardPool::new(2);
         let mut images = Vec::new();
         let mut pool = FramePool::new();
         let mut union = UnionScratch::new();
         // Growing and shrinking ROI counts recycle through the pool.
         for rects in frames {
-            let mut rng_a = StdRng::seed_from_u64(5);
-            let mut rng_b = StdRng::seed_from_u64(5);
-            let (expected, expected_stats) = read_rois(&arr, rects, &adc, &mut rng_a).unwrap();
-            let stats =
-                read_rois_into(&arr, rects, &adc, &mut rng_b, &mut images, &mut pool, &mut union)
-                    .unwrap();
+            let (expected, expected_stats) = read_rois(&arr, rects, &adc).unwrap();
+            let stats = read_rois_keyed_into(
+                &arr,
+                rects,
+                &adc,
+                1,
+                2,
+                Some(&shard_pool),
+                &mut images,
+                &mut pool,
+                &mut union,
+            )
+            .unwrap();
             assert_eq!(images, expected);
             assert_eq!(stats, expected_stats);
         }
         // A failing batch must leave the previous images untouched.
         let before = images.clone();
-        let mut rng = StdRng::seed_from_u64(5);
         let bad = [Rect::new(15, 15, 4, 4)];
-        assert!(
-            read_rois_into(&arr, &bad, &adc, &mut rng, &mut images, &mut pool, &mut union).is_err()
-        );
+        assert!(read_rois_keyed_into(
+            &arr,
+            &bad,
+            &adc,
+            1,
+            2,
+            Some(&shard_pool),
+            &mut images,
+            &mut pool,
+            &mut union
+        )
+        .is_err());
         assert_eq!(images, before);
     }
 
@@ -619,9 +515,8 @@ mod tests {
     fn disjoint_boxes_union_equals_sum() {
         let arr = gradient_array();
         let adc = Adc::paper_default();
-        let mut rng = StdRng::seed_from_u64(1);
         let boxes = [Rect::new(0, 0, 4, 4), Rect::new(8, 8, 4, 4)];
-        let (_, stats) = read_rois(&arr, &boxes, &adc, &mut rng).unwrap();
+        let (_, stats) = read_rois(&arr, &boxes, &adc).unwrap();
         assert_eq!(stats.conversions * 8, stats.transferred_bits);
     }
 }

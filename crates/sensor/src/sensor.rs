@@ -6,17 +6,16 @@ use std::sync::Arc;
 use hirise_imaging::rect::UnionScratch;
 use hirise_imaging::{FramePool, GrayImage, Image, Plane, Rect, RgbImage};
 use rand::distributions::NormalSampler;
-use rand::rngs::{KeyedRng, StdRng};
-use rand::{Rng, SeedableRng};
+use rand::rngs::KeyedRng;
 
 use crate::adc::Adc;
 use crate::array::PixelArray;
-use crate::noise::{self, domain, NoiseRngMode, TEMPORAL_SEED_MASK};
+use crate::noise::{self, domain, TEMPORAL_SEED_MASK};
 use crate::pixel::PixelParams;
 use crate::pooling::{self, PoolingConfig};
 use crate::roi;
 use crate::shard::ShardPool;
-use crate::Result;
+use crate::{Result, SensorError};
 
 /// Colour mode of the stage-1 compressed capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,14 +97,10 @@ pub struct SensorConfig {
     pub adc_noise: f64,
     /// Seed for fixed-pattern and temporal noise.
     pub seed: u64,
-    /// How noise draws are realised: position-keyed (`Keyed`, the fast
-    /// order-independent default) or the legacy sequential stream
-    /// (`Sequential`, bit-identical to the historical implementation).
-    pub noise_rng: NoiseRngMode,
-    /// Row shards for the keyed capture, pool and ROI paths: `1` = single
+    /// Row shards for the capture, pool and ROI paths: `1` = single
     /// threaded (default), `0` = one shard per available core, `n` =
-    /// exactly `n`. Results are bit-identical at every setting; only
-    /// `Keyed` mode uses the shards (sequential draws cannot be split).
+    /// exactly `n`. Every noise draw is keyed by its position, so results
+    /// are bit-identical at every setting.
     pub shards: u32,
 }
 
@@ -118,7 +113,6 @@ impl Default for SensorConfig {
             adc_inl_lsb: 0.25,
             adc_noise: 0.2e-3,
             seed: 0x5EED,
-            noise_rng: NoiseRngMode::default(),
             shards: 1,
         }
     }
@@ -135,40 +129,74 @@ impl SensorConfig {
             ..Self::default()
         }
     }
+
+    /// Checks that the sensor can build both of its ADCs: the pixel ADC
+    /// (`adc_bits` over `pixel.v_dark..pixel.v_sat`) and the pooled ADC
+    /// (`adc_bits` over the pooling circuit's output range). The readouts
+    /// of a [`Sensor`] expect a configuration that passes.
+    ///
+    /// # Errors
+    ///
+    /// [`SensorError::InvalidConfig`] exactly when [`Adc::new`] rejects
+    /// either ADC: a bit width outside `1..=16`, `v_sat <= v_dark`, or an
+    /// empty pooling output range (e.g. a non-positive pooling gain).
+    pub fn validate(&self) -> Result<()> {
+        self.pixel_adc()?;
+        // The bit width passed above, so only the pooled range can fail.
+        let (lo, hi) = self.pooled_range();
+        self.pooled_adc().map_err(|_| SensorError::InvalidConfig {
+            parameter: "pooling output range",
+            value: hi - lo,
+        })?;
+        Ok(())
+    }
+
+    /// The pooling circuit's output range over the pixel voltage swing.
+    fn pooled_range(&self) -> (f64, f64) {
+        self.pooling.output_range(self.pixel.v_dark, self.pixel.v_sat)
+    }
+
+    fn pixel_adc(&self) -> Result<Adc> {
+        let adc = Adc::new(self.adc_bits, self.pixel.v_dark, self.pixel.v_sat)?;
+        Ok(adc.with_inl(self.adc_inl_lsb).with_noise(self.adc_noise))
+    }
+
+    fn pooled_adc(&self) -> Result<Adc> {
+        let (lo, hi) = self.pooled_range();
+        let adc = Adc::new(self.adc_bits, lo, hi)?;
+        Ok(adc.with_inl(self.adc_inl_lsb).with_noise(self.adc_noise))
+    }
 }
 
 /// A high-resolution sensor holding one captured scene.
 ///
 /// All readout methods take `&mut self` because temporal noise advances
-/// per readout — the internal sequential RNG in
-/// [`NoiseRngMode::Sequential`], a readout-op counter in
-/// [`NoiseRngMode::Keyed`]; captures of the same sensor are independent
-/// noise realisations over the same fixed pattern in both modes.
+/// per readout: each readout keys its draws with the next value of a
+/// readout-op counter, so captures of the same sensor are independent
+/// noise realisations over the same fixed pattern.
+///
+/// The readouts expect a configuration that passes
+/// [`SensorConfig::validate`] and panic otherwise.
 #[derive(Debug, Clone)]
 pub struct Sensor {
     array: PixelArray,
     config: SensorConfig,
-    rng: StdRng,
-    /// Keyed mode: base seed of the temporal-noise keys (reset on
-    /// recapture, replaced by [`Sensor::reseed_temporal_noise`]).
+    /// Base seed of the temporal-noise keys (reset on recapture,
+    /// replaced by [`Sensor::reseed_temporal_noise`]).
     noise_seed: u64,
-    /// Keyed mode: readout operations performed since (re)capture; each
-    /// top-level readout derives its key from `(noise_seed, ops)`.
+    /// Readout operations performed since (re)capture; each top-level
+    /// readout derives its key from `(noise_seed, ops)`.
     ops: u64,
-    /// Lazily spawned row-shard workers (keyed mode with `shards > 1`);
-    /// shared across clones, dispatches without heap allocation.
+    /// Lazily spawned row-shard workers (`shards > 1`); shared across
+    /// clones, dispatches without heap allocation.
     shard_pool: Option<Arc<ShardPool>>,
 }
 
-/// Resolved shard count for a configuration (`1` in sequential mode: an
-/// ordered draw stream cannot be split).
+/// Resolved shard count for a configuration.
 fn config_shards(config: &SensorConfig) -> usize {
-    match config.noise_rng {
-        NoiseRngMode::Sequential => 1,
-        NoiseRngMode::Keyed => match config.shards {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            n => n as usize,
-        },
+    match config.shards {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n as usize,
     }
 }
 
@@ -190,19 +218,10 @@ impl Sensor {
             scene,
             config.pixel,
             config.seed,
-            config.noise_rng,
             shards,
             shard_pool.as_deref(),
         );
-        let rng = StdRng::seed_from_u64(config.seed ^ TEMPORAL_SEED_MASK);
-        Self {
-            array,
-            config,
-            rng,
-            noise_seed: config.seed ^ TEMPORAL_SEED_MASK,
-            ops: 0,
-            shard_pool,
-        }
+        Self { array, config, noise_seed: config.seed ^ TEMPORAL_SEED_MASK, ops: 0, shard_pool }
     }
 
     /// Recaptures a (possibly differently-sized) scene onto this sensor in
@@ -216,23 +235,20 @@ impl Sensor {
         self.array.refill_from_scene_with(
             scene,
             self.config.seed,
-            self.config.noise_rng,
             shards,
             self.shard_pool.as_deref(),
         );
-        self.rng = StdRng::seed_from_u64(self.config.seed ^ TEMPORAL_SEED_MASK);
         self.noise_seed = self.config.seed ^ TEMPORAL_SEED_MASK;
         self.ops = 0;
     }
 
-    /// Shard count for keyed row-parallel paths (`1` in sequential mode:
-    /// an ordered draw stream cannot be split).
+    /// Shard count for the row-parallel paths.
     fn capture_shards(&self) -> usize {
         config_shards(&self.config)
     }
 
-    /// Spawns the persistent shard workers on first need (keyed mode,
-    /// `shards > 1`); a no-op afterwards, so the steady state allocates
+    /// Spawns the persistent shard workers on first need
+    /// (`shards > 1`); a no-op afterwards, so the steady state allocates
     /// nothing.
     fn ensure_shard_pool(&mut self) {
         if self.shard_pool.is_none() {
@@ -243,15 +259,14 @@ impl Sensor {
         }
     }
 
-    /// The key of the next readout operation (keyed mode), advancing the
-    /// op counter.
+    /// The key of the next readout operation, advancing the op counter.
     fn next_op_key(&mut self) -> u64 {
         let op = self.ops;
         self.ops += 1;
         noise::frame_key(self.noise_seed, op)
     }
 
-    /// Readies the next keyed readout: spawns the shard workers on first
+    /// Readies the next readout: spawns the shard workers on first
     /// need and returns the op key (advancing the op counter) with the
     /// shard count.
     fn next_keyed_op(&mut self) -> (u64, usize) {
@@ -280,30 +295,11 @@ impl Sensor {
     }
 
     fn pixel_adc(&self) -> Adc {
-        Adc::new(self.config.adc_bits, self.config.pixel.v_dark, self.config.pixel.v_sat)
-            .expect("validated at construction")
-            .with_inl(self.config.adc_inl_lsb)
-            .with_noise(self.config.adc_noise)
+        self.config.pixel_adc().expect("pixel ADC config is checked by SensorConfig::validate")
     }
 
     fn pooled_adc(&self) -> Adc {
-        let (lo, hi) =
-            self.config.pooling.output_range(self.config.pixel.v_dark, self.config.pixel.v_sat);
-        Adc::new(self.config.adc_bits, lo, hi)
-            .expect("pooling output range is non-empty for positive gain")
-            .with_inl(self.config.adc_inl_lsb)
-            .with_noise(self.config.adc_noise)
-    }
-
-    fn digitise_plane_into(plane: &Plane, adc: &Adc, rng: &mut StdRng, out: &mut Plane) {
-        // One flat pass over paired sample slices; conversion order (and
-        // therefore the noise stream) matches the row-major per-pixel
-        // loop exactly.
-        out.reshape_for_overwrite(plane.width(), plane.height());
-        for (&v, o) in plane.as_slice().iter().zip(out.as_mut_slice()) {
-            let code = adc.convert(v as f64, rng);
-            *o = adc.code_to_unit(code);
-        }
+        self.config.pooled_adc().expect("pooled ADC config is checked by SensorConfig::validate")
     }
 
     /// Stage-1 capture: in-sensor pooling (+ optional grayscale fold),
@@ -329,9 +325,8 @@ impl Sensor {
     /// result lands in `analog` and the digitised image in `out`, both
     /// reshaped reusing their buffers. `out` is switched to the requested
     /// colour mode if it holds the other variant (the only case that
-    /// allocates in steady state is that mode change). Draws from the
-    /// temporal-noise stream in exactly the same order as the allocating
-    /// path, so images and stats are bit-identical.
+    /// allocates in steady state is that mode change). Images and stats
+    /// are bit-identical to the allocating path.
     ///
     /// # Errors
     ///
@@ -347,13 +342,8 @@ impl Sensor {
         pooling::validate_pooling(&self.array, k)?;
         let adc = self.pooled_adc();
         let bits = adc.bits() as u64;
-        let keyed = match self.config.noise_rng {
-            NoiseRngMode::Sequential => None,
-            NoiseRngMode::Keyed => {
-                let (key, shards) = self.next_keyed_op();
-                Some((key, shards, self.shard_pool.clone()))
-            }
-        };
+        let (key, shards) = self.next_keyed_op();
+        let pool = self.shard_pool.as_deref();
         let count = match mode {
             ColorMode::Gray => {
                 let target = match out {
@@ -363,31 +353,17 @@ impl Sensor {
                         other.as_gray_mut().expect("just assigned the gray variant")
                     }
                 };
-                match &keyed {
-                    None => {
-                        pooling::pool_gray_into(
-                            &self.array,
-                            k,
-                            &self.config.pooling,
-                            &mut self.rng,
-                            analog,
-                        )?;
-                        Self::digitise_plane_into(analog, &adc, &mut self.rng, target.plane_mut());
-                    }
-                    Some((key, shards, pool)) => {
-                        pooling::pool_gray_keyed(
-                            &self.array,
-                            k,
-                            &self.config.pooling,
-                            &adc,
-                            *key,
-                            *shards,
-                            pool.as_deref(),
-                            analog,
-                            target.plane_mut(),
-                        )?;
-                    }
-                }
+                pooling::pool_gray_keyed(
+                    &self.array,
+                    k,
+                    &self.config.pooling,
+                    &adc,
+                    key,
+                    shards,
+                    pool,
+                    analog,
+                    target.plane_mut(),
+                )?;
                 target.plane().len() as u64
             }
             ColorMode::Rgb => {
@@ -399,33 +375,18 @@ impl Sensor {
                     }
                 };
                 for (ch, plane) in target.planes_mut().into_iter().enumerate() {
-                    match &keyed {
-                        None => {
-                            pooling::pool_channel_into(
-                                &self.array,
-                                ch,
-                                k,
-                                &self.config.pooling,
-                                &mut self.rng,
-                                analog,
-                            )?;
-                            Self::digitise_plane_into(analog, &adc, &mut self.rng, plane);
-                        }
-                        Some((key, shards, pool)) => {
-                            pooling::pool_channel_keyed(
-                                &self.array,
-                                ch,
-                                k,
-                                &self.config.pooling,
-                                &adc,
-                                *key,
-                                *shards,
-                                pool.as_deref(),
-                                analog,
-                                plane,
-                            )?;
-                        }
-                    }
+                    pooling::pool_channel_keyed(
+                        &self.array,
+                        ch,
+                        k,
+                        &self.config.pooling,
+                        &adc,
+                        key,
+                        shards,
+                        pool,
+                        analog,
+                        plane,
+                    )?;
                 }
                 target.width() as u64 * target.height() as u64 * 3
             }
@@ -439,48 +400,25 @@ impl Sensor {
         let adc = self.pixel_adc();
         let (w, h) = (self.array.width(), self.array.height());
         let read_noise = self.config.pixel.read_noise;
-        let keyed = match self.config.noise_rng {
-            NoiseRngMode::Sequential => None,
-            NoiseRngMode::Keyed => Some(self.next_op_key()),
-        };
+        let key = self.next_op_key();
         let sampler = NormalSampler::new();
         let adc_sigma = adc.noise_sigma();
         let sites = w as u64 * h as u64;
         let mut planes = Vec::with_capacity(3);
         for ch in 0..3 {
             let mut out = Plane::new(w, h);
-            // Flat pass over paired slices; conversion order matches the
-            // row-major per-pixel loop exactly (and is irrelevant to the
-            // keyed path, whose draws are position-pure).
-            match keyed {
-                None => {
-                    for (&src, o) in self.array.plane(ch).as_slice().iter().zip(out.as_mut_slice())
-                    {
-                        let mut v = src as f64;
-                        if read_noise > 0.0 {
-                            v += read_noise * pooling::gaussian(&mut self.rng);
-                        }
-                        let code = adc.convert(v, &mut self.rng);
-                        *o = adc.code_to_unit(code);
-                    }
+            let ch_base = ch as u64 * sites;
+            for (i, (&src, o)) in
+                self.array.plane(ch).as_slice().iter().zip(out.as_mut_slice()).enumerate()
+            {
+                let mut rng =
+                    KeyedRng::for_stream(key, noise::stream(domain::FULL, ch_base + i as u64));
+                let mut v = src as f64;
+                if read_noise > 0.0 {
+                    v += read_noise * sampler.sample(&mut rng);
                 }
-                Some(key) => {
-                    let ch_base = ch as u64 * sites;
-                    for (i, (&src, o)) in
-                        self.array.plane(ch).as_slice().iter().zip(out.as_mut_slice()).enumerate()
-                    {
-                        let mut rng = KeyedRng::for_stream(
-                            key,
-                            noise::stream(domain::FULL, ch_base + i as u64),
-                        );
-                        let mut v = src as f64;
-                        if read_noise > 0.0 {
-                            v += read_noise * sampler.sample(&mut rng);
-                        }
-                        let g = if adc_sigma > 0.0 { sampler.sample(&mut rng) } else { 0.0 };
-                        *o = adc.code_to_unit(adc.convert_with_noise(v, g));
-                    }
-                }
+                let g = if adc_sigma > 0.0 { sampler.sample(&mut rng) } else { 0.0 };
+                *o = adc.code_to_unit(adc.convert_with_noise(v, g));
             }
             planes.push(out);
         }
@@ -504,43 +442,28 @@ impl Sensor {
     /// [`crate::SensorError::RoiOutOfBounds`] when the box leaves the array.
     pub fn read_roi(&mut self, rect: Rect) -> Result<(RgbImage, ReadoutStats)> {
         let adc = self.pixel_adc();
-        match self.config.noise_rng {
-            NoiseRngMode::Sequential => roi::read_roi(&self.array, rect, &adc, &mut self.rng),
-            NoiseRngMode::Keyed => {
-                let (key, shards) = self.next_keyed_op();
-                roi::read_roi_keyed(
-                    &self.array,
-                    rect,
-                    &adc,
-                    key,
-                    shards,
-                    self.shard_pool.as_deref(),
-                )
-            }
-        }
+        let (key, shards) = self.next_keyed_op();
+        roi::read_roi_keyed(&self.array, rect, &adc, key, shards, self.shard_pool.as_deref())
     }
 
-    /// Stage-2 readout of a batch of ROIs (conversions on the union,
-    /// transfer per box; see [`crate::roi::read_rois`]).
+    /// Stage-2 readout of a batch of ROIs: conversions are charged on the
+    /// union of the boxes, transfer per box, and the boxes' coordinates
+    /// cost `j · 4` words in the opposite direction
+    /// ([`ReadoutStats::box_words_bits`]).
     ///
     /// # Errors
     ///
     /// [`crate::SensorError::RoiOutOfBounds`] when any box leaves the array.
     pub fn read_rois(&mut self, rects: &[Rect]) -> Result<(Vec<RgbImage>, ReadoutStats)> {
         let adc = self.pixel_adc();
-        match self.config.noise_rng {
-            NoiseRngMode::Sequential => roi::read_rois(&self.array, rects, &adc, &mut self.rng),
-            NoiseRngMode::Keyed => {
-                let (key, shards) = self.next_keyed_op();
-                let pool = self.shard_pool.as_deref();
-                roi::read_rois_keyed(&self.array, rects, &adc, key, shards, pool)
-            }
-        }
+        let (key, shards) = self.next_keyed_op();
+        roi::read_rois_keyed(&self.array, rects, &adc, key, shards, self.shard_pool.as_deref())
     }
 
     /// In-place variant of [`Sensor::read_rois`]: crops land in `images`
-    /// (recycled through `pool`) and the union sweep uses `union`; see
-    /// [`crate::roi::read_rois_into`].
+    /// (recycled through `pool`) and the union sweep uses `union`, so
+    /// after a warm-up frame or two the call performs no heap allocation.
+    /// `images` is left unchanged when a box leaves the array.
     ///
     /// # Errors
     ///
@@ -554,41 +477,26 @@ impl Sensor {
         union: &mut UnionScratch,
     ) -> Result<ReadoutStats> {
         let adc = self.pixel_adc();
-        match self.config.noise_rng {
-            NoiseRngMode::Sequential => {
-                roi::read_rois_into(&self.array, rects, &adc, &mut self.rng, images, pool, union)
-            }
-            NoiseRngMode::Keyed => {
-                let (key, shards) = self.next_keyed_op();
-                let shard_pool = self.shard_pool.as_deref();
-                roi::read_rois_keyed_into(
-                    &self.array,
-                    rects,
-                    &adc,
-                    key,
-                    shards,
-                    shard_pool,
-                    images,
-                    pool,
-                    union,
-                )
-            }
-        }
+        let (key, shards) = self.next_keyed_op();
+        let shard_pool = self.shard_pool.as_deref();
+        roi::read_rois_keyed_into(
+            &self.array,
+            rects,
+            &adc,
+            key,
+            shards,
+            shard_pool,
+            images,
+            pool,
+            union,
+        )
     }
 
     /// Derives a fresh noise stream (e.g. to decorrelate captures) while
-    /// keeping the fixed pattern. Applies to both modes: the sequential
-    /// generator is reseeded and the keyed op keys restart from the new
-    /// seed.
+    /// keeping the fixed pattern: the readout-op keys restart from `seed`.
     pub fn reseed_temporal_noise(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
         self.noise_seed = seed;
         self.ops = 0;
-    }
-
-    /// Draws from the sensor's internal RNG (exposed for co-simulation).
-    pub fn rng_mut(&mut self) -> &mut impl Rng {
-        &mut self.rng
     }
 }
 
@@ -750,27 +658,34 @@ mod tests {
     }
 
     #[test]
-    fn noise_modes_are_distinct_but_noiselessly_identical() {
-        let scene = test_scene(16, 16);
-        let seq = SensorConfig { noise_rng: NoiseRngMode::Sequential, ..SensorConfig::default() };
-        let key = SensorConfig { noise_rng: NoiseRngMode::Keyed, ..SensorConfig::default() };
-        let (a, _) = Sensor::capture(&scene, seq).capture_pooled(2, ColorMode::Rgb).unwrap();
-        let (b, _) = Sensor::capture(&scene, key).capture_pooled(2, ColorMode::Rgb).unwrap();
-        assert_ne!(a, b, "modes share a noise stream");
-        // Without any noise the two modes run the same arithmetic.
-        let seq = SensorConfig { noise_rng: NoiseRngMode::Sequential, ..SensorConfig::noiseless() };
-        let key = SensorConfig { noise_rng: NoiseRngMode::Keyed, ..SensorConfig::noiseless() };
-        let (a, sa) = Sensor::capture(&scene, seq).capture_pooled(2, ColorMode::Rgb).unwrap();
-        let (b, sb) = Sensor::capture(&scene, key).capture_pooled(2, ColorMode::Rgb).unwrap();
-        assert_eq!(a, b, "noiseless modes diverged");
-        assert_eq!(sa, sb);
+    fn validate_accepts_exactly_the_configs_both_adcs_accept() {
+        assert!(SensorConfig::default().validate().is_ok());
+        assert!(SensorConfig::noiseless().validate().is_ok());
+        assert!(SensorConfig { adc_bits: 16, ..SensorConfig::default() }.validate().is_ok());
+        let pooling = |gain| PoolingConfig { gain, ..PoolingConfig::default() };
+        let pixel = |v_dark, v_sat| PixelParams { v_dark, v_sat, ..PixelParams::default() };
+        for (name, bad) in [
+            ("adc_bits 0", SensorConfig { adc_bits: 0, ..SensorConfig::default() }),
+            ("adc_bits 17", SensorConfig { adc_bits: 17, ..SensorConfig::default() }),
+            ("v_sat == v_dark", SensorConfig { pixel: pixel(0.6, 0.6), ..SensorConfig::default() }),
+            ("v_sat < v_dark", SensorConfig { pixel: pixel(0.9, 0.3), ..SensorConfig::default() }),
+            ("gain 0", SensorConfig { pooling: pooling(0.0), ..SensorConfig::default() }),
+            ("gain < 0", SensorConfig { pooling: pooling(-0.5), ..SensorConfig::default() }),
+            ("gain NaN", SensorConfig { pooling: pooling(f64::NAN), ..SensorConfig::default() }),
+        ] {
+            let err = bad.validate().unwrap_err();
+            assert!(matches!(err, SensorError::InvalidConfig { .. }), "{name}: {err}");
+            let pixel_ok = Adc::new(bad.adc_bits, bad.pixel.v_dark, bad.pixel.v_sat).is_ok();
+            let (lo, hi) = bad.pooling.output_range(bad.pixel.v_dark, bad.pixel.v_sat);
+            assert!(!(pixel_ok && Adc::new(bad.adc_bits, lo, hi).is_ok()), "{name}");
+        }
     }
 
     #[test]
     fn keyed_capture_is_shard_count_invariant() {
         // The whole frame path — capture, pooled capture, ROI readout —
-        // is bit-identical at every shard count in keyed mode, with
-        // overlapping, nested and identical boxes in the ROI batch.
+        // is bit-identical at every shard count, with overlapping, nested
+        // and identical boxes in the ROI batch.
         let scene = test_scene(32, 24);
         let boxes = [
             Rect::new(2, 2, 8, 8),

@@ -1,7 +1,7 @@
 //! A persistent row-shard worker pool for intra-frame parallelism.
 //!
-//! Keyed-mode noise is a pure function of position
-//! ([`crate::noise::NoiseRngMode::Keyed`]), so the row bands of one
+//! Sensor noise is a pure function of position (see [`crate::noise`]),
+//! so the row bands of one
 //! capture, pool or ROI readout pass can be computed concurrently with
 //! bit-identical results at any shard count. `std::thread::scope` would
 //! do that, but it allocates (thread stacks, join packets) on every

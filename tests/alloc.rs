@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hirise::{HiriseConfig, HirisePipeline, NoiseRngMode, PipelineScratch, SensorConfig};
+use hirise::{HiriseConfig, HirisePipeline, PipelineScratch, SensorConfig};
 use hirise_imaging::{draw, Rect, RgbImage};
 
 /// Counts this thread's allocation events (`alloc`, `alloc_zeroed`, and
@@ -138,7 +138,7 @@ fn keyed_row_sharded_path_is_allocation_free_after_warmup() {
     let detector = hirise::DetectorConfig { score_threshold: 0.2, ..Default::default() };
     let config = HiriseConfig::builder(192, 144)
         .pooling(2)
-        .sensor(SensorConfig { noise_rng: NoiseRngMode::Keyed, shards: 2, ..Default::default() })
+        .sensor(SensorConfig { shards: 2, ..Default::default() })
         .detector(detector)
         .max_rois(4)
         .build()
@@ -229,7 +229,7 @@ fn tracked_frames_stay_allocation_free_on_a_defect_heavy_scenario() {
     let detector = hirise::DetectorConfig { score_threshold: 0.2, ..Default::default() };
     let config = HiriseConfig::builder(192, 144)
         .pooling(2)
-        .sensor(SensorConfig { noise_rng: NoiseRngMode::Keyed, ..Default::default() })
+        .sensor(SensorConfig::default())
         .detector(detector)
         .max_rois(4)
         .roi_margin(2)

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use hirise::analytical::AnalyticalModel;
-use hirise::{HiriseConfig, HirisePipeline, NoiseRngMode, Rect};
+use hirise::{HiriseConfig, HirisePipeline, Rect};
 use hirise_bench::stats::DatasetRoiStats;
 use hirise_energy::{ColorChannels, SystemParams};
 use hirise_imaging::{draw, RgbImage};
@@ -166,10 +166,10 @@ fn plane_checksum(planes: &[&hirise_imaging::Plane]) -> f64 {
 
 #[test]
 fn pipeline_noise_mode_outputs_match_goldens() {
-    // Pins the *noisy* frame path per noise mode: `sequential` guards
-    // the legacy bit stream (Box–Muller over the ordered generator),
-    // `keyed` guards the counter-based Ziggurat stream that is now the
-    // default. Counters compare exactly; checksums at 1e-9 relative.
+    // Pins the *noisy* frame path: the counter-based keyed Ziggurat
+    // stream, the sensor's one noise path (the `mode` column keeps the
+    // golden's layout). Counters compare exactly; checksums at 1e-9
+    // relative.
     let mut scene = RgbImage::from_fn(128, 96, |_, _| (0.35, 0.35, 0.35));
     let obj = Rect::new(40, 24, 24, 48);
     draw::fill_rect_rgb(&mut scene, obj, (0.9, 0.4, 0.2));
@@ -179,28 +179,21 @@ fn pipeline_noise_mode_outputs_match_goldens() {
     let mut csv = String::from(
         "mode,s1_conversions,s2_conversions,transfer_bits,rois,pooled_checksum,roi_checksum\n",
     );
-    for mode in [NoiseRngMode::Sequential, NoiseRngMode::Keyed] {
-        let detector = hirise::DetectorConfig { score_threshold: 0.2, ..Default::default() };
-        let config = HiriseConfig::builder(128, 96)
-            .pooling(2)
-            .detector(detector)
-            .max_rois(4)
-            .noise_rng(mode)
-            .build()
-            .unwrap();
-        let run = HirisePipeline::new(config).run(&scene).unwrap();
-        let pooled = plane_checksum(&run.pooled_image.as_rgb().unwrap().planes());
-        let rois: f64 = run.roi_images.iter().map(|img| plane_checksum(&img.planes())).sum();
-        writeln!(
-            csv,
-            "{mode},{},{},{},{},{pooled:.9},{rois:.9}",
-            run.report.stage1.conversions,
-            run.report.stage2.conversions,
-            run.report.total_transfer_bits(),
-            run.rois.len(),
-        )
-        .unwrap();
-    }
+    let detector = hirise::DetectorConfig { score_threshold: 0.2, ..Default::default() };
+    let config =
+        HiriseConfig::builder(128, 96).pooling(2).detector(detector).max_rois(4).build().unwrap();
+    let run = HirisePipeline::new(config).run(&scene).unwrap();
+    let pooled = plane_checksum(&run.pooled_image.as_rgb().unwrap().planes());
+    let rois: f64 = run.roi_images.iter().map(|img| plane_checksum(&img.planes())).sum();
+    writeln!(
+        csv,
+        "keyed,{},{},{},{},{pooled:.9},{rois:.9}",
+        run.report.stage1.conversions,
+        run.report.stage2.conversions,
+        run.report.total_transfer_bits(),
+        run.rois.len(),
+    )
+    .unwrap();
     check_golden("pipeline_modes.csv", &csv);
 }
 
@@ -209,8 +202,8 @@ fn video_temporal_sequence_matches_golden() {
     // Pins the whole temporal path on a seeded synthetic video: the
     // keyframe/drift policy decisions, the track lifecycle (association,
     // spawn, death), the exact per-frame ROI rectangles, and the readout
-    // counters — all integers, compared exactly. Runs under the default
-    // keyed noise mode, so the sensor noise stream is pinned too.
+    // counters — all integers, compared exactly. The keyed sensor noise
+    // stream is pinned too.
     use hirise::temporal::{TrackerState, TrackingPipeline};
     use hirise::{PipelineScratch, TemporalConfig};
     use hirise_scene::{VideoGenerator, VideoSpec};

@@ -200,27 +200,3 @@ fn tracking_quality_holds_on_the_reference_video() {
     // And the policy actually tracked: most frames skipped detection.
     assert!(state.tracked_frames() > state.keyframes() + state.drift_refreshes());
 }
-
-#[test]
-fn sequential_noise_mode_tracks_too() {
-    // The temporal path is mode-agnostic: the legacy sequential noise
-    // stream must produce a valid (if differently-noised) tracked
-    // sequence, deterministic across repeats.
-    let mut cfg = config(1);
-    cfg.sensor.noise_rng = hirise::NoiseRngMode::Sequential;
-    let video = VideoGenerator::new(VideoSpec::surveillance(), W, H, 11);
-    let frames = video.images(6);
-    let tracker = TrackingPipeline::new(cfg, temporal()).unwrap();
-    let run = |scratch: &mut PipelineScratch| {
-        let mut state = TrackerState::new();
-        frames
-            .iter()
-            .map(|f| tracker.run_frame(f, &mut state, scratch).unwrap())
-            .collect::<Vec<_>>()
-    };
-    let mut scratch = PipelineScratch::new();
-    let a = run(&mut scratch);
-    let b = run(&mut scratch);
-    assert_eq!(a, b);
-    assert!(a.iter().any(|r| !r.kind.ran_detection()), "no frame was tracked");
-}
