@@ -2,11 +2,11 @@
 //!
 //! Runs the fleet of [`hirise_bench::chaos`] twice — fault-free and
 //! with the plan's panic injected mid-stream into one session — and
-//! emits `results/BENCH_chaos.json` with the recovery axes the
-//! `bench_compare` chaos gate hard-fails on: `dropped`, the quarantine
-//! and recovery counts, the worst recovery span in frames, availability,
-//! and the blast-radius bit (every non-faulted session identical to the
-//! fault-free run).
+//! writes the record to `results/BENCH_chaos.json`: `dropped`, the
+//! quarantine and recovery counts, the worst recovery span in frames,
+//! availability, and the blast-radius bit (every non-faulted session
+//! identical to the fault-free run). Wall clock is printed, never
+//! recorded (see the `bench_compare` binary for the exact gate).
 //!
 //! ```text
 //! cargo run --release -p hirise-bench --bin chaos_stages -- \
@@ -18,15 +18,13 @@
 //! somewhere disposable; only standard runs belong in `results/`.
 
 use hirise_bench::args::{Flags, RunSize};
-use hirise_bench::chaos::{measure, ChaosBenchConfig};
+use hirise_bench::chaos::ChaosBenchConfig;
+use hirise_bench::record::measure_and_write;
 
 fn main() {
     let flags = Flags::from_env();
-    let size = flags.run_size();
-    let out = flags.value_of("out").unwrap_or("results/BENCH_chaos.json");
-
     let mut config = ChaosBenchConfig::default();
-    match size {
+    match flags.run_size() {
         RunSize::Quick => {
             config.sessions = 4;
             config.frames_per_session = 8;
@@ -41,15 +39,14 @@ fn main() {
             config.frames_per_session = 32;
         }
     }
-    if let Some(sessions) = flags.parsed("sessions") {
+    if let Some(sessions) = flags.parsed::<usize>("sessions") {
         config.sessions = sessions;
-        config.panic_session = config.panic_session.min(sessions as u64 - 1);
+        config.panic_session = config.panic_session.min(sessions.saturating_sub(1) as u64);
     }
-    if let Some(frames) = flags.parsed("frames") {
+    if let Some(frames) = flags.parsed::<u32>("frames") {
         config.frames_per_session = frames;
         config.panic_frame = config.panic_frame.min(frames.saturating_sub(1));
     }
-
     println!(
         "chaos_stages: {} sessions of {} frames on {}x{} k={}, \
          panic into session {} frame {}",
@@ -61,28 +58,6 @@ fn main() {
         config.panic_session,
         config.panic_frame
     );
-    let result = measure(&config);
-    println!(
-        "  faulted run: {} frames in {:.1} ms, {} dropped, {} completed",
-        result.frames, result.wall_ms, result.dropped, result.completed
-    );
-    println!(
-        "  recovery: {} quarantined, {} recovered, worst {} frames \
-         (budget {}), availability {:.4}",
-        result.quarantined,
-        result.recovered,
-        result.max_recovery_frames,
-        result.config.keyframe_interval,
-        result.availability()
-    );
-    println!("  blast radius contained: {}", result.others_bit_identical);
-    assert_eq!(result.dropped, 0, "the chaos run dropped admitted sessions");
-    assert!(result.others_bit_identical, "a session fault perturbed the rest of the fleet");
-
-    let path = std::path::Path::new(out);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).expect("results directory is writable");
-    }
-    std::fs::write(path, result.to_json()).expect("chaos JSON is writable");
-    println!("wrote {}", path.display());
+    let out = flags.value_of("out").unwrap_or("results/BENCH_chaos.json");
+    measure_and_write(&config, std::path::Path::new(out));
 }

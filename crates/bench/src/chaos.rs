@@ -1,35 +1,33 @@
 //! The chaos benchmark shared by the `chaos_stages` and `bench_compare`
 //! binaries: recovery under a seeded fault plan.
 //!
-//! One measurement runs the same scenario-backed fleet twice — once
+//! One record runs the same scenario-backed fleet twice — once
 //! fault-free, once with a [`hirise_fault::ChaosInjector`] panicking one
-//! session mid-stream — and reports the recovery axes the chaos gate
-//! rides on:
+//! session mid-stream — and keeps the recovery facts:
 //!
 //! * **fleet survival** — the faulted run must complete every session
 //!   with `dropped == 0`; a panic is a session-level event, never a
 //!   fleet-level one,
 //! * **blast radius** — exactly the planned session quarantined, and
 //!   every *other* session's deterministic summary bit-identical to the
-//!   fault-free run ([`ChaosBenchResult::others_bit_identical`]),
+//!   fault-free run (`others_bit_identical`),
 //! * **recovery** — the quarantined session restored from its keyframe
 //!   checkpoint and re-detecting within
 //!   [`ChaosBenchConfig::keyframe_interval`] frames
-//!   ([`ChaosBenchResult::max_recovery_frames`]),
+//!   (`max_recovery_frames`),
 //! * **availability** — the fraction of requested frames that produced
 //!   output (only the poisoned frames themselves are lost).
 //!
-//! `chaos_stages` emits `results/BENCH_chaos.json`; `bench_compare`
-//! re-measures the committed baseline with its own configuration and
-//! hard-fails on any fleet abort, drop, blast-radius leak, or a
-//! recovery span over the (loose) `--max-recovery-frames` budget.
+//! Every fact is a pure function of the config, so `bench_compare`
+//! gates each one exactly.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use hirise::{HiriseConfig, TemporalConfig};
 use hirise_fault::{faulty_source_for, ChaosInjector, FaultConfig, FaultPlan};
 use hirise_serve::{ServeConfig, ServeEngine, ServeSummary, SessionSpec};
+
+use crate::record::{Bench, Record, MAX_COUNT, MAX_SIDE};
 
 /// Seed of the committed chaos baseline (fixed: the gate compares
 /// recovery machinery, not fault schedules).
@@ -39,7 +37,7 @@ pub const CHAOS_SEED: u64 = 0xC4A05;
 /// `i % 3`).
 const SCENARIOS: [&str; 3] = ["clean", "illumination", "defects"];
 
-/// Configuration of one chaos measurement.
+/// Configuration of one chaos record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosBenchConfig {
     /// Sessions in the fleet.
@@ -83,16 +81,33 @@ impl Default for ChaosBenchConfig {
     }
 }
 
-/// The seeded fault plan a configuration expands to (public so tests
-/// and the gate can recompute the schedule from the same source).
-///
-/// # Panics
-///
-/// Panics on an invalid fault model — the binaries fail loudly rather
-/// than emitting bad data.
-pub fn plan(config: &ChaosBenchConfig) -> Arc<FaultPlan> {
+/// The seeded fault plan a configuration expands to.
+fn plan(config: &ChaosBenchConfig) -> hirise::Result<Arc<FaultPlan>> {
     let faults = FaultConfig::default().panic_at(config.panic_session, config.panic_frame);
-    Arc::new(FaultPlan::new(config.seed, faults).expect("valid chaos fault model"))
+    Ok(Arc::new(FaultPlan::new(config.seed, faults)?))
+}
+
+/// The fleet's engine, with the plan's injector attached when `inject`
+/// is set.
+fn engine(
+    config: &ChaosBenchConfig,
+    plan: &Arc<FaultPlan>,
+    inject: bool,
+) -> hirise::Result<ServeEngine> {
+    let pipeline = HiriseConfig::builder(config.width, config.height)
+        .pooling(config.pooling_k)
+        .roi_margin(2)
+        .build()?;
+    let temporal = TemporalConfig::default().keyframe_interval(config.keyframe_interval);
+    let mut serve = ServeConfig::new(pipeline)
+        .temporal(temporal)
+        .rated_sessions(config.sessions)
+        .max_sessions(config.sessions)
+        .latency_window(128);
+    if inject {
+        serve = serve.fault(Arc::new(ChaosInjector::new(Arc::clone(plan))));
+    }
+    ServeEngine::new(serve)
 }
 
 /// Runs the fleet to completion, with the plan's injector attached when
@@ -100,22 +115,8 @@ pub fn plan(config: &ChaosBenchConfig) -> Arc<FaultPlan> {
 /// sources (sensor rates are zero, so the frames are clean and
 /// identical); only the injector differs.
 fn run(config: &ChaosBenchConfig, inject: bool) -> ServeSummary {
-    let pipeline = HiriseConfig::builder(config.width, config.height)
-        .pooling(config.pooling_k)
-        .roi_margin(2)
-        .build()
-        .expect("valid chaos-bench pipeline configuration");
-    let temporal = TemporalConfig::default().keyframe_interval(config.keyframe_interval);
-    let plan = plan(config);
-    let mut serve = ServeConfig::new(pipeline)
-        .temporal(temporal)
-        .rated_sessions(config.sessions.max(1))
-        .max_sessions(config.sessions.max(1))
-        .latency_window(128);
-    if inject {
-        serve = serve.fault(Arc::new(ChaosInjector::new(Arc::clone(&plan))));
-    }
-    let mut engine = ServeEngine::new(serve).expect("valid chaos-bench fleet configuration");
+    let plan = plan(config).expect("valid chaos fault model");
+    let mut engine = engine(config, &plan, inject).expect("valid chaos-bench configuration");
     for i in 0..config.sessions {
         let spec = SessionSpec::default()
             .name(format!("c{i}"))
@@ -131,121 +132,72 @@ fn run(config: &ChaosBenchConfig, inject: bool) -> ServeSummary {
     engine.summary()
 }
 
-/// One chaos measurement: the faulted run's recovery counters plus the
-/// blast-radius comparison against the fault-free twin.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosBenchResult {
-    /// The configuration that produced it.
-    pub config: ChaosBenchConfig,
-    /// Frames that produced output in the faulted run (requested minus
-    /// poisoned).
-    pub frames: u64,
-    /// Wall-clock time of the faulted run, ms.
-    pub wall_ms: f64,
-    /// Sessions dropped — structurally zero; the gate hard-fails on it.
-    pub dropped: u64,
-    /// Sessions that served every requested frame.
-    pub completed: u64,
-    /// Sessions quarantined by the isolation boundary.
-    pub quarantined: u64,
-    /// Quarantined sessions whose every fault recovered from its
-    /// checkpoint.
-    pub recovered: u64,
-    /// The longest fault-to-recovery span paid, in served frames.
-    pub max_recovery_frames: u32,
-    /// Frames consumed by the isolation boundary (panicked, no output).
-    pub poisoned_frames: u64,
-    /// Whether every non-faulted session's deterministic summary is
-    /// bit-identical to the fault-free run.
-    pub others_bit_identical: bool,
-}
+impl Bench for ChaosBenchConfig {
+    const NAME: &'static str = "chaos_stages";
 
-impl ChaosBenchResult {
-    /// Fraction of requested frames that produced output in the faulted
-    /// run (1.0 = nothing lost; the injected panic costs exactly its
-    /// poisoned frames).
-    pub fn availability(&self) -> f64 {
-        let requested = self.config.sessions as u64 * u64::from(self.config.frames_per_session);
-        if requested == 0 {
-            return 0.0;
-        }
-        self.frames as f64 / requested as f64
+    fn from_record(record: &Record) -> Result<Self, String> {
+        let (width, height) = record.config_array()?;
+        let count = |key| record.config_int(key, 1..=MAX_COUNT);
+        let config = Self {
+            sessions: count("sessions")? as usize,
+            frames_per_session: count("frames_per_session")?,
+            width,
+            height,
+            pooling_k: record.config_int("pooling_k", 1..=MAX_SIDE)?,
+            keyframe_interval: count("keyframe_interval")?,
+            panic_session: record.config_int("panic_session", 0..=u64::MAX)?,
+            panic_frame: record.config_int("panic_frame", 0..=MAX_COUNT)?,
+            seed: record.config_int("seed", 0..=u64::MAX)?,
+        };
+        plan(&config).and_then(|plan| engine(&config, &plan, true)).map_err(|e| e.to_string())?;
+        Ok(config)
     }
 
-    /// Serialises the result in the `results/BENCH_chaos.json` format.
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        format!(
-            "{{\n  \"bench\": \"chaos_stages\",\n  \"array\": \"{}x{}\",\n  \
-             \"pooling_k\": {},\n  \"keyframe_interval\": {},\n  \"sessions\": {},\n  \
-             \"frames_per_session\": {},\n  \"panic_session\": {},\n  \
-             \"panic_frame\": {},\n  \"seed\": {},\n  \"frames\": {},\n  \
-             \"wall_ms\": {:.3},\n  \"dropped\": {},\n  \"completed\": {},\n  \
-             \"quarantined\": {},\n  \"recovered\": {},\n  \"max_recovery_frames\": {},\n  \
-             \"poisoned_frames\": {},\n  \"availability\": {:.6},\n  \
-             \"others_bit_identical\": {}\n}}\n",
-            c.width,
-            c.height,
-            c.pooling_k,
-            c.keyframe_interval,
-            c.sessions,
-            c.frames_per_session,
-            c.panic_session,
-            c.panic_frame,
-            c.seed,
-            self.frames,
-            self.wall_ms,
-            self.dropped,
-            self.completed,
-            self.quarantined,
-            self.recovered,
-            self.max_recovery_frames,
-            self.poisoned_frames,
-            self.availability(),
-            self.others_bit_identical,
-        )
+    fn header(&self) -> Record {
+        Record::new(Self::NAME)
+            .with_config("array", format!("{}x{}", self.width, self.height))
+            .with_config("pooling_k", self.pooling_k)
+            .with_config("keyframe_interval", self.keyframe_interval)
+            .with_config("sessions", self.sessions)
+            .with_config("frames_per_session", self.frames_per_session)
+            .with_config("panic_session", self.panic_session)
+            .with_config("panic_frame", self.panic_frame)
+            .with_config("seed", self.seed)
     }
-}
 
-/// Runs the measurement: the fault-free twin first (doubling as the
-/// warm pass, per the repo's bench idiom), then the timed faulted run,
-/// then the per-session blast-radius diff.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration or a fleet abort — a chaos run
-/// that cannot complete is a result the gate must never see as data.
-pub fn measure(config: &ChaosBenchConfig) -> ChaosBenchResult {
-    let clean = run(config, false);
-    let start = Instant::now();
-    let chaos = run(config, true);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let others_bit_identical = clean.sessions.len() == chaos.sessions.len()
-        && clean
-            .sessions
-            .iter()
-            .zip(&chaos.sessions)
-            .filter(|(c, _)| c.id.0 != config.panic_session)
-            .all(|(c, f)| !f.poisoned && c.summary == f.summary && c.deferred == f.deferred);
-    let poisoned_frames = chaos.sessions.iter().map(|r| r.poisoned_frames).sum();
-    ChaosBenchResult {
-        config: config.clone(),
-        frames: chaos.frames,
-        wall_ms,
-        dropped: chaos.dropped,
-        completed: chaos.completed,
-        quarantined: chaos.quarantined,
-        recovered: chaos.recovered,
-        max_recovery_frames: chaos.max_recovery_frames,
-        poisoned_frames,
-        others_bit_identical,
+    /// The fault-free twin first, then the faulted run, then the
+    /// per-session blast-radius diff.
+    fn record(&self) -> Record {
+        let clean = run(self, false);
+        let chaos = run(self, true);
+        let others_bit_identical = clean.sessions.len() == chaos.sessions.len()
+            && clean
+                .sessions
+                .iter()
+                .zip(&chaos.sessions)
+                .filter(|(c, _)| c.id.0 != self.panic_session)
+                .all(|(c, f)| !f.poisoned && c.summary == f.summary && c.deferred == f.deferred);
+        let poisoned_frames: u64 = chaos.sessions.iter().map(|r| r.poisoned_frames).sum();
+        // Fraction of requested frames that produced output (1.0 =
+        // nothing lost; the injected panic costs exactly its poisoned
+        // frames).
+        let requested = self.sessions as u64 * u64::from(self.frames_per_session);
+        self.header()
+            .with_count("frames", chaos.frames)
+            .with_count("dropped", chaos.dropped)
+            .with_count("completed", chaos.completed)
+            .with_count("quarantined", chaos.quarantined)
+            .with_count("recovered", chaos.recovered)
+            .with_count("max_recovery_frames", chaos.max_recovery_frames)
+            .with_count("poisoned_frames", poisoned_frames)
+            .with_metric("availability", chaos.frames as f64 / requested as f64, "ratio")
+            .with_metric("others_bit_identical", others_bit_identical, "bool")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stages::{json_bool, json_f64, json_str};
 
     /// A small, fast fleet for structural tests.
     fn small() -> ChaosBenchConfig {
@@ -263,67 +215,31 @@ mod tests {
     #[test]
     fn measurement_quarantines_exactly_the_planned_session() {
         let config = small();
-        let r = measure(&config);
-        assert_eq!(r.dropped, 0, "a session panic must never drop a session");
-        assert_eq!(r.completed, config.sessions as u64, "every session must finish");
-        assert_eq!(r.quarantined, 1, "exactly the planned fault fires");
-        assert_eq!(r.recovered, 1, "the quarantined session must recover");
-        assert!(
-            (1..=config.keyframe_interval).contains(&r.max_recovery_frames),
-            "recovery took {} frames, budget is {}",
-            r.max_recovery_frames,
-            config.keyframe_interval
-        );
-        assert_eq!(r.poisoned_frames, 1);
-        assert!(r.others_bit_identical, "the fault's blast radius left its session");
+        let r = config.record();
+        assert!(r.contract_violations().is_empty(), "{:?}", r.contract_violations());
+        assert_eq!(r.int("dropped"), Some(0), "a session panic must never drop a session");
+        assert_eq!(r.int("completed"), Some(config.sessions as u64), "every session finishes");
+        assert_eq!(r.int("quarantined"), Some(1), "exactly the planned fault fires");
+        assert_eq!(r.int("recovered"), Some(1), "the quarantined session must recover");
+        let recovery = r.int("max_recovery_frames").unwrap();
+        assert!((1..=u64::from(config.keyframe_interval)).contains(&recovery), "{recovery}");
+        assert_eq!(r.int("poisoned_frames"), Some(1));
+        assert_eq!(r.metric("others_bit_identical"), Some(&true.into()));
         let requested = config.sessions as u64 * u64::from(config.frames_per_session);
-        assert_eq!(r.frames, requested - 1, "only the poisoned frame is lost");
-        assert!((r.availability() - (requested - 1) as f64 / requested as f64).abs() < 1e-12);
-        assert!(r.wall_ms > 0.0);
+        assert_eq!(r.int("frames"), Some(requested - 1), "only the poisoned frame is lost");
+        assert_eq!(r.float("availability"), Some((requested - 1) as f64 / requested as f64));
     }
 
     #[test]
     fn deterministic_counters_are_pure_in_the_config() {
-        let a = measure(&small());
-        let b = measure(&small());
-        assert_eq!(
-            (a.frames, a.quarantined, a.recovered, a.max_recovery_frames, a.others_bit_identical),
-            (b.frames, b.quarantined, b.recovered, b.max_recovery_frames, b.others_bit_identical),
-        );
+        assert_eq!(small().record(), small().record());
     }
 
     #[test]
     fn json_roundtrips_through_the_emitted_format() {
-        let result = ChaosBenchResult {
-            config: small(),
-            frames: 31,
-            wall_ms: 42.5,
-            dropped: 0,
-            completed: 4,
-            quarantined: 1,
-            recovered: 1,
-            max_recovery_frames: 3,
-            poisoned_frames: 1,
-            others_bit_identical: true,
-        };
-        let json = result.to_json();
-        assert_eq!(json_str(&json, "bench").as_deref(), Some("chaos_stages"));
-        assert_eq!(json_str(&json, "array").as_deref(), Some("64x48"));
-        assert_eq!(json_f64(&json, "sessions"), Some(4.0));
-        assert_eq!(json_f64(&json, "frames_per_session"), Some(8.0));
-        assert_eq!(json_f64(&json, "keyframe_interval"), Some(4.0));
-        assert_eq!(json_f64(&json, "panic_session"), Some(1.0));
-        assert_eq!(json_f64(&json, "panic_frame"), Some(3.0));
-        assert_eq!(json_f64(&json, "seed"), Some(CHAOS_SEED as f64));
-        assert_eq!(json_f64(&json, "frames"), Some(31.0));
-        assert_eq!(json_f64(&json, "dropped"), Some(0.0));
-        assert_eq!(json_f64(&json, "quarantined"), Some(1.0));
-        assert_eq!(json_f64(&json, "recovered"), Some(1.0));
-        assert_eq!(json_f64(&json, "max_recovery_frames"), Some(3.0));
-        assert_eq!(json_f64(&json, "poisoned_frames"), Some(1.0));
-        assert_eq!(json_bool(&json, "others_bit_identical"), Some(true));
-        // 31 of 32 requested frames produced output.
-        assert!((json_f64(&json, "availability").unwrap() - 31.0 / 32.0).abs() < 1e-6);
-        assert!(!json.contains("NaN"));
+        for config in [small(), ChaosBenchConfig::default()] {
+            let parsed = Record::parse(&config.header().to_text()).expect("the header parses");
+            assert_eq!(ChaosBenchConfig::from_record(&parsed), Ok(config));
+        }
     }
 }

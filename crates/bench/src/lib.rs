@@ -12,27 +12,21 @@
 //! * [`table2`] — the in-processor vs in-sensor mAP experiment,
 //! * [`stats`] — dataset ROI statistics used by the Fig. 7 / Fig. 8 /
 //!   Table 3 binaries,
-//! * [`stages`] — the stage-breakdown frame benchmark shared by the
-//!   `pipeline_stages` profiler and the `bench_compare` trajectory gate,
-//! * [`video`] — the temporal (per-frame vs tracked) video benchmark
-//!   shared by `video_stages` and `bench_compare`,
-//! * [`scenario`] — the scenario-fleet stress benchmark (latency, IoU,
-//!   per-kind sensor energy) shared by `scenario_stages` and the
-//!   `bench_compare` scenario gate,
-//! * [`serve`] — the multi-tenant serve-layer saturation benchmark
-//!   (sessions/core at a latency SLO) shared by `serve_stages` and the
-//!   `bench_compare` serve gate,
-//! * [`chaos`] — the fault-injection recovery benchmark (quarantine,
-//!   checkpoint recovery, blast radius) shared by `chaos_stages` and
-//!   the `bench_compare` chaos gate,
-//! * [`recover`] — the crash-recovery benchmark (snapshot cost, replay
-//!   MTTR, post-restore bit-identity) shared by `recover_stages` and
-//!   the `bench_compare` recovery gate,
+//! * [`record`] — the one benchmark record type (`{bench, config,
+//!   metrics}`), its canonical text form and strict reader, and the
+//!   [`record::Bench`] trait every record builder implements,
+//! * [`stages`], [`video`], [`scenario`], [`serve`], [`chaos`] and
+//!   [`recover`] — one record builder each (still frame, tracked video,
+//!   scenario fleet, multi-tenant serving, fault recovery, crash
+//!   recovery), shared by its `*_stages` binary, which writes the
+//!   committed record under `results/`, and by `bench_compare`, which
+//!   rebuilds every committed record and gates each fact exactly,
 //! * [`args`] — tiny CLI-flag helpers shared by the binaries.
 
 pub mod args;
 pub mod chaos;
 pub mod classifier;
+pub mod record;
 pub mod recover;
 pub mod scenario;
 pub mod serve;
@@ -40,6 +34,3 @@ pub mod stages;
 pub mod stats;
 pub mod table2;
 pub mod video;
-
-/// Needed by `[[bench]]` targets; re-exported so binaries share versions.
-pub use hirise_nn::Mlp;

@@ -1,32 +1,26 @@
 //! The crash-recovery benchmark shared by the `recover_stages` and
 //! `bench_compare` binaries: warm restart from snapshot plus journal.
 //!
-//! One measurement drives the same staggered-arrival fleet twice — once
+//! One record drives the same staggered-arrival fleet twice — once
 //! uninterrupted, once killed mid-run at a tick drawn from a seeded
 //! [`hirise_fault::CrashPlan`] — then restores the last snapshot,
-//! replays the journal tail, resumes the remaining arrivals, and
-//! reports the recovery axes the `bench_compare` recovery gate rides
-//! on:
+//! replays the journal tail, resumes the remaining arrivals, and keeps
+//! the recovery facts:
 //!
-//! * **snapshot cost** — the serialized slab size
-//!   ([`RecoverBenchResult::snapshot_bytes`], also per live session)
-//!   and the wall-clock time to take and to restore one snapshot,
+//! * **snapshot size** — the serialized slab (`snapshot_bytes`, also
+//!   per live session),
 //! * **replay MTTR** — the frames re-served between the last snapshot
-//!   and the crash point ([`RecoverBenchResult::replay_frames`]),
-//!   bounded by one snapshot interval's worth of fleet frames
-//!   ([`RecoverBenchResult::replay_budget_frames`]),
+//!   and the crash point (`replay_frames`), bounded by one snapshot
+//!   interval's worth of fleet frames (`replay_budget_frames`),
 //! * **crash consistency** — the recovered run's deterministic summary
 //!   and journal bit-identical to the uninterrupted twin, and the
 //!   restored engine re-snapshotting to the exact bytes it was restored
-//!   from ([`RecoverBenchResult::identical`]).
+//!   from (`identical`).
 //!
-//! `recover_stages` emits `results/BENCH_recover.json`; `bench_compare`
-//! re-measures the committed baseline with its own configuration and
-//! hard-fails on any drop, a replay over `--max-replay-frames`, or any
-//! post-restore divergence.
+//! Every fact is a pure function of the config, so `bench_compare`
+//! gates each one exactly.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use hirise::{HiriseConfig, TemporalConfig};
 use hirise_fault::{CrashPlan, FaultConfig, FaultPlan};
@@ -34,6 +28,8 @@ use hirise_serve::{
     run_plans_journaled, ArrivalJournal, ServeConfig, ServeEngine, ServeSummary, SessionPlan,
     SessionSpec,
 };
+
+use crate::record::{Bench, Record, MAX_COUNT, MAX_SIDE};
 
 /// Seed of the committed recovery baseline (fixed: the gate compares
 /// recovery machinery, not kill schedules).
@@ -50,7 +46,7 @@ const FRAMES_PER_TICK: u32 = 2;
 /// `i % 3`).
 const SCENARIOS: [&str; 3] = ["clean", "illumination", "defects"];
 
-/// Configuration of one crash-recovery measurement.
+/// Configuration of one crash-recovery record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoverBenchConfig {
     /// Sessions in the fleet (arrivals staggered over four ticks).
@@ -94,26 +90,21 @@ impl Default for RecoverBenchConfig {
     }
 }
 
-/// The seeded crash schedule a configuration expands to (public so
-/// tests and the gate can recompute the kill tick from the same
-/// source).
+/// The seeded crash schedule a configuration expands to.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an invalid fault model — the binaries fail loudly rather
-/// than emitting bad data.
-pub fn crash_plan(config: &RecoverBenchConfig) -> CrashPlan {
+/// When the crash model is invalid (a rate outside `0..=1`).
+fn crash_plan(config: &RecoverBenchConfig) -> hirise::Result<CrashPlan> {
     let mut faults = FaultConfig::default();
     faults.serve.crash_rate = config.crash_rate;
-    CrashPlan::new(Arc::new(
-        FaultPlan::new(config.seed, faults).expect("valid recover-bench crash model"),
-    ))
+    Ok(CrashPlan::new(Arc::new(FaultPlan::new(config.seed, faults)?)))
 }
 
 /// The arrival plans a configuration expands to: session `i` arrives at
 /// tick `i % 4`, so the crash lands on a fleet mid-admission-wave more
 /// often than not.
-pub fn plans(config: &RecoverBenchConfig) -> Vec<SessionPlan> {
+fn plans(config: &RecoverBenchConfig) -> Vec<SessionPlan> {
     let mut plans: Vec<SessionPlan> = (0..config.sessions)
         .map(|i| SessionPlan {
             at_tick: (i % 4) as u64,
@@ -129,17 +120,23 @@ pub fn plans(config: &RecoverBenchConfig) -> Vec<SessionPlan> {
     plans
 }
 
-fn serve_config(config: &RecoverBenchConfig) -> ServeConfig {
+fn serve_config(config: &RecoverBenchConfig) -> hirise::Result<ServeConfig> {
     let pipeline = HiriseConfig::builder(config.width, config.height)
         .pooling(config.pooling_k)
         .roi_margin(2)
-        .build()
-        .expect("valid recover-bench pipeline configuration");
-    ServeConfig::new(pipeline)
+        .build()?;
+    Ok(ServeConfig::new(pipeline)
         .temporal(TemporalConfig::default().keyframe_interval(config.keyframe_interval))
-        .rated_sessions(config.sessions.max(1))
-        .max_sessions(config.sessions.max(1))
-        .latency_window(128)
+        .rated_sessions(config.sessions)
+        .max_sessions(config.sessions)
+        .latency_window(128))
+}
+
+/// A fresh engine for the fleet.
+fn engine(config: &RecoverBenchConfig) -> ServeEngine {
+    serve_config(config)
+        .and_then(ServeEngine::new)
+        .expect("valid recover-bench fleet configuration")
 }
 
 /// Deterministic-summary equality: everything but the wall-clock
@@ -161,211 +158,139 @@ fn summaries_identical(a: &ServeSummary, b: &ServeSummary) -> bool {
             .all(|(x, y)| x.id == y.id && x.summary == y.summary && x.deferred == y.deferred)
 }
 
-/// One crash-recovery measurement: snapshot and restore costs, replay
-/// MTTR, and the bit-identity verdict against the uninterrupted twin.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoverBenchResult {
-    /// The configuration that produced it.
-    pub config: RecoverBenchConfig,
-    /// The tick the seeded schedule killed the engine at.
-    pub crash_tick: u64,
-    /// Ticks the uninterrupted run took to drain.
-    pub total_ticks: u64,
-    /// Frames served by the recovered run (crash leg + replay +
-    /// resume) — structurally equal to the uninterrupted run's.
-    pub frames: u64,
-    /// Sessions dropped — structurally zero; the gate hard-fails on it.
-    pub dropped: u64,
-    /// Sessions that served every requested frame.
-    pub completed: u64,
-    /// Serialized size of the restored snapshot, bytes.
-    pub snapshot_bytes: u64,
-    /// Live sessions inside that snapshot.
-    pub snapshot_sessions: u64,
-    /// Wall-clock time to take one snapshot of the restored mid-run
-    /// slab, ms.
-    pub snapshot_ms: f64,
-    /// Wall-clock time to restore the engine from snapshot bytes, ms.
-    pub restore_ms: f64,
-    /// Wall-clock time to replay the journal tail, ms.
-    pub replay_ms: f64,
-    /// Frames re-served during replay — the recovery's MTTR numerator.
-    pub replay_frames: u64,
-    /// The replay budget: one snapshot interval's worth of fleet frames
-    /// (`snapshot_every × sessions × frames_per_tick`).
-    pub replay_budget_frames: u64,
-    /// Whether the recovered run is bit-identical to the uninterrupted
-    /// twin: same deterministic summary, same journal, and the restored
-    /// engine re-snapshots to the exact bytes it was restored from.
-    pub identical: bool,
-}
+impl Bench for RecoverBenchConfig {
+    const NAME: &'static str = "recover_stages";
 
-impl RecoverBenchResult {
-    /// Serialized snapshot cost per live session, bytes.
-    pub fn snapshot_bytes_per_session(&self) -> f64 {
-        if self.snapshot_sessions == 0 {
-            return 0.0;
+    fn from_record(record: &Record) -> Result<Self, String> {
+        let (width, height) = record.config_array()?;
+        let count = |key| record.config_int(key, 1..=MAX_COUNT);
+        let config = Self {
+            sessions: count("sessions")? as usize,
+            frames_per_session: count("frames_per_session")?,
+            width,
+            height,
+            pooling_k: record.config_int("pooling_k", 1..=MAX_SIDE)?,
+            keyframe_interval: count("keyframe_interval")?,
+            snapshot_every: count("snapshot_every")?.into(),
+            crash_rate: record.config_f64("crash_rate")?,
+            seed: record.config_int("seed", 0..=u64::MAX)?,
+        };
+        // The kill must land past the first snapshot and before the
+        // drain, which the last arrival outlasts by its session's ticks.
+        let last_arrival = plans(&config).last().map_or(0, |p| p.at_tick);
+        let session_ticks = u64::from(config.frames_per_session.div_ceil(FRAMES_PER_TICK));
+        if config.snapshot_every + 2 > last_arrival + session_ticks {
+            return Err(format!(
+                "config `snapshot_every` = {} leaves no kill window in {}-frame sessions",
+                config.snapshot_every, config.frames_per_session
+            ));
         }
-        self.snapshot_bytes as f64 / self.snapshot_sessions as f64
+        crash_plan(&config)
+            .and_then(|_| serve_config(&config))
+            .and_then(ServeEngine::new)
+            .map_err(|e| e.to_string())?;
+        Ok(config)
     }
 
-    /// Serialises the result in the `results/BENCH_recover.json`
-    /// format.
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        format!(
-            "{{\n  \"bench\": \"recover_stages\",\n  \"array\": \"{}x{}\",\n  \
-             \"pooling_k\": {},\n  \"keyframe_interval\": {},\n  \"snapshot_every\": {},\n  \
-             \"sessions\": {},\n  \"frames_per_session\": {},\n  \"crash_rate\": {:.3},\n  \
-             \"seed\": {},\n  \"crash_tick\": {},\n  \"total_ticks\": {},\n  \
-             \"frames\": {},\n  \"dropped\": {},\n  \"completed\": {},\n  \
-             \"snapshot_bytes\": {},\n  \"snapshot_sessions\": {},\n  \
-             \"snapshot_bytes_per_session\": {:.1},\n  \"snapshot_ms\": {:.3},\n  \
-             \"restore_ms\": {:.3},\n  \"replay_ms\": {:.3},\n  \"replay_frames\": {},\n  \
-             \"replay_budget_frames\": {},\n  \"identical\": {}\n}}\n",
-            c.width,
-            c.height,
-            c.pooling_k,
-            c.keyframe_interval,
-            c.snapshot_every,
-            c.sessions,
-            c.frames_per_session,
-            c.crash_rate,
-            c.seed,
-            self.crash_tick,
-            self.total_ticks,
-            self.frames,
-            self.dropped,
-            self.completed,
-            self.snapshot_bytes,
-            self.snapshot_sessions,
-            self.snapshot_bytes_per_session(),
-            self.snapshot_ms,
-            self.restore_ms,
-            self.replay_ms,
-            self.replay_frames,
-            self.replay_budget_frames,
-            self.identical,
-        )
+    fn header(&self) -> Record {
+        Record::new(Self::NAME)
+            .with_config("array", format!("{}x{}", self.width, self.height))
+            .with_config("pooling_k", self.pooling_k)
+            .with_config("keyframe_interval", self.keyframe_interval)
+            .with_config("snapshot_every", self.snapshot_every)
+            .with_config("sessions", self.sessions)
+            .with_config("frames_per_session", self.frames_per_session)
+            .with_config("crash_rate", self.crash_rate)
+            .with_config("seed", self.seed)
     }
-}
 
-/// Runs the measurement: the uninterrupted twin first (doubling as the
-/// warm pass, per the repo's bench idiom), then the crash leg killed at
-/// the seeded schedule's first post-boundary tick, then the timed
-/// restore → re-snapshot → replay → resume sequence, then the
-/// bit-identity verdict.
-///
-/// The kill window starts one tick past the first snapshot boundary so
-/// the warm path (restore, not cold start) is always the one measured;
-/// when a short run's seeded schedule never fires inside the window,
-/// the kill lands two ticks before completion instead.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration, a fleet abort, or a failed
-/// restore/replay — a recovery that cannot complete is a result the
-/// gate must never see as data.
-pub fn measure(config: &RecoverBenchConfig) -> RecoverBenchResult {
-    let plans = plans(config);
-    let factory = |spec: &SessionSpec| hirise_serve::source_for(spec, config.width, config.height);
+    /// The uninterrupted twin first, then the crash leg killed at the
+    /// seeded schedule's first post-boundary tick, then restore →
+    /// re-snapshot → replay → resume, then the bit-identity verdict.
+    ///
+    /// The kill window starts one tick past the first snapshot boundary
+    /// so the warm path (restore, not cold start) is always the one
+    /// recorded; when a short run's seeded schedule never fires inside
+    /// the window, the kill lands two ticks before completion instead.
+    fn record(&self) -> Record {
+        let plans = plans(self);
+        let factory = |spec: &SessionSpec| hirise_serve::source_for(spec, self.width, self.height);
+        let run = |engine: &mut ServeEngine,
+                   plans: &[SessionPlan],
+                   journal: &mut ArrivalJournal,
+                   kill: u64| {
+            run_plans_journaled(
+                engine,
+                plans,
+                &factory,
+                journal,
+                self.snapshot_every,
+                None,
+                &mut |tick| tick == kill,
+            )
+            .expect("recover-bench run serves until the kill or the drain")
+        };
 
-    // Uninterrupted reference.
-    let mut engine =
-        ServeEngine::new(serve_config(config)).expect("valid recover-bench fleet configuration");
-    let mut reference_journal = ArrivalJournal::new();
-    run_plans_journaled(
-        &mut engine,
-        &plans,
-        &factory,
-        &mut reference_journal,
-        config.snapshot_every,
-        None,
-        &mut |_| false,
-    )
-    .expect("recover-bench reference run completes");
-    let reference = engine.summary();
-    let total_ticks = reference.ticks;
+        // Uninterrupted reference.
+        let mut uninterrupted = engine(self);
+        let mut reference_journal = ArrivalJournal::new();
+        run(&mut uninterrupted, &plans, &mut reference_journal, u64::MAX);
+        let reference = uninterrupted.summary();
+        let total_ticks = reference.ticks;
 
-    // The kill tick comes from the seeded schedule, constrained past
-    // the first boundary (so a snapshot exists) and before the drain.
-    let window = (config.snapshot_every + 1)..total_ticks;
-    let crash_tick = crash_plan(config)
-        .first_crash_in(FLEET, window)
-        .unwrap_or_else(|| total_ticks.saturating_sub(2).max(config.snapshot_every + 1));
+        // The kill tick comes from the seeded schedule, constrained past
+        // the first boundary (so a snapshot exists) and before the drain.
+        let window = (self.snapshot_every + 1)..total_ticks;
+        let crash_tick = crash_plan(self)
+            .expect("valid recover-bench crash model")
+            .first_crash_in(FLEET, window)
+            .unwrap_or_else(|| total_ticks.saturating_sub(2).max(self.snapshot_every + 1));
 
-    // Crash leg.
-    let mut engine =
-        ServeEngine::new(serve_config(config)).expect("valid recover-bench fleet configuration");
-    let mut journal = ArrivalJournal::new();
-    let outcome = run_plans_journaled(
-        &mut engine,
-        &plans,
-        &factory,
-        &mut journal,
-        config.snapshot_every,
-        None,
-        &mut |tick| tick == crash_tick,
-    )
-    .expect("recover-bench crash leg serves until the kill");
-    assert_eq!(outcome.crashed_at, Some(crash_tick), "the kill tick must land mid-run");
-    drop(engine);
-    let snapshot = outcome.snapshot.expect("a kill past the first boundary leaves a snapshot");
-    let snapshot_bytes = snapshot.len() as u64;
-    let snapshot_sessions = snapshot.live_sessions();
+        // Crash leg.
+        let mut journal = ArrivalJournal::new();
+        let outcome = run(&mut engine(self), &plans, &mut journal, crash_tick);
+        assert_eq!(outcome.crashed_at, Some(crash_tick), "the kill tick must land mid-run");
+        let snapshot = outcome.snapshot.expect("a kill past the first boundary leaves a snapshot");
 
-    // Timed warm restart: restore, re-snapshot the restored slab,
-    // replay the journal tail, resume the remaining arrivals.
-    let start = Instant::now();
-    let mut recovered = ServeEngine::restore(&snapshot, serve_config(config), &factory)
-        .expect("recover-bench snapshot restores");
-    let restore_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let resnapshot = recovered.snapshot();
-    let snapshot_ms = start.elapsed().as_secs_f64() * 1e3;
-    let round_trip = resnapshot.as_bytes() == snapshot.as_bytes();
-    let start = Instant::now();
-    let replay_frames =
-        recovered.replay_from(&journal, &factory).expect("recover-bench journal replays");
-    let replay_ms = start.elapsed().as_secs_f64() * 1e3;
-    run_plans_journaled(
-        &mut recovered,
-        &plans[journal.admissions()..],
-        &factory,
-        &mut journal,
-        config.snapshot_every,
-        None,
-        &mut |_| false,
-    )
-    .expect("recover-bench resumed run completes");
-    let summary = recovered.summary();
+        // Warm restart: restore, re-snapshot the restored slab, replay
+        // the journal tail, resume the remaining arrivals.
+        let serve = serve_config(self).expect("valid recover-bench fleet configuration");
+        let mut recovered = ServeEngine::restore(&snapshot, serve, &factory)
+            .expect("recover-bench snapshot restores");
+        let round_trip = recovered.snapshot().as_bytes() == snapshot.as_bytes();
+        let replay_frames =
+            recovered.replay_from(&journal, &factory).expect("recover-bench journal replays");
+        run(&mut recovered, &plans[journal.admissions()..], &mut journal, u64::MAX);
+        let summary = recovered.summary();
+        let identical =
+            round_trip && summaries_identical(&reference, &summary) && journal == reference_journal;
 
-    RecoverBenchResult {
-        config: config.clone(),
-        crash_tick,
-        total_ticks,
-        frames: summary.frames,
-        dropped: summary.dropped,
-        completed: summary.completed,
-        snapshot_bytes,
-        snapshot_sessions,
-        snapshot_ms,
-        restore_ms,
-        replay_ms,
-        replay_frames,
-        replay_budget_frames: config.snapshot_every
-            * config.sessions as u64
-            * u64::from(FRAMES_PER_TICK),
-        identical: round_trip
-            && summaries_identical(&reference, &summary)
-            && journal == reference_journal,
+        let snapshot_sessions = snapshot.live_sessions();
+        // One snapshot interval's worth of fleet frames.
+        let replay_budget_frames =
+            self.snapshot_every * self.sessions as u64 * u64::from(FRAMES_PER_TICK);
+        self.header()
+            .with_count("crash_tick", crash_tick)
+            .with_count("total_ticks", total_ticks)
+            .with_count("frames", summary.frames)
+            .with_count("dropped", summary.dropped)
+            .with_count("completed", summary.completed)
+            .with_metric("snapshot_bytes", snapshot.len() as u64, "B")
+            .with_count("snapshot_sessions", snapshot_sessions)
+            .with_metric(
+                "snapshot_bytes_per_session",
+                snapshot.len() as f64 / snapshot_sessions.max(1) as f64,
+                "B/session",
+            )
+            .with_count("replay_frames", replay_frames)
+            .with_count("replay_budget_frames", replay_budget_frames)
+            .with_metric("identical", identical, "bool")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stages::{json_bool, json_f64, json_str};
 
     /// A small, fast fleet for structural tests.
     fn small() -> RecoverBenchConfig {
@@ -382,77 +307,38 @@ mod tests {
     #[test]
     fn measurement_recovers_bit_identically_within_budget() {
         let config = small();
-        let r = measure(&config);
-        assert!(r.identical, "the recovered run diverged from the uninterrupted twin");
-        assert_eq!(r.dropped, 0, "a crash must never drop an admitted session");
-        assert_eq!(r.completed, config.sessions as u64, "every session must finish");
-        assert_eq!(
-            r.frames,
-            config.sessions as u64 * u64::from(config.frames_per_session),
-            "every requested frame must be served"
-        );
+        let r = config.record();
+        assert!(r.contract_violations().is_empty(), "{:?}", r.contract_violations());
+        assert_eq!(r.metric("identical"), Some(&true.into()), "recovery diverged from the twin");
+        assert_eq!(r.int("dropped"), Some(0), "a crash must never drop an admitted session");
+        assert_eq!(r.int("completed"), Some(config.sessions as u64), "every session finishes");
+        let requested = config.sessions as u64 * u64::from(config.frames_per_session);
+        assert_eq!(r.int("frames"), Some(requested), "every requested frame must be served");
+        let (crash, total) = (r.int("crash_tick").unwrap(), r.int("total_ticks").unwrap());
         assert!(
-            r.crash_tick > config.snapshot_every && r.crash_tick < r.total_ticks,
-            "kill tick {} must land after the first boundary and before the drain at {}",
-            r.crash_tick,
-            r.total_ticks
+            crash > config.snapshot_every && crash < total,
+            "kill tick {crash} must land after the first boundary and before the drain at {total}"
         );
-        assert!(r.snapshot_bytes > 0, "the restored snapshot cannot be empty");
-        assert!(r.snapshot_sessions > 0, "a mid-run snapshot holds live sessions");
-        assert!(r.snapshot_bytes_per_session() > 0.0);
-        assert!(
-            r.replay_frames <= r.replay_budget_frames,
-            "replay MTTR {} exceeds the one-interval budget {}",
-            r.replay_frames,
-            r.replay_budget_frames
-        );
+        assert!(r.int("snapshot_bytes").unwrap() > 0, "the restored snapshot cannot be empty");
+        assert!(r.int("snapshot_sessions").unwrap() > 0, "a mid-run snapshot holds sessions");
+        assert!(r.float("snapshot_bytes_per_session").unwrap() > 0.0);
+        assert!(r.int("replay_frames").unwrap() <= r.int("replay_budget_frames").unwrap());
     }
 
     #[test]
     fn deterministic_counters_are_pure_in_the_config() {
-        let a = measure(&small());
-        let b = measure(&small());
-        assert_eq!(
-            (a.crash_tick, a.total_ticks, a.frames, a.snapshot_bytes, a.replay_frames, a.identical),
-            (b.crash_tick, b.total_ticks, b.frames, b.snapshot_bytes, b.replay_frames, b.identical),
-        );
+        assert_eq!(small().record(), small().record());
     }
 
     #[test]
     fn json_roundtrips_through_the_emitted_format() {
-        let result = RecoverBenchResult {
-            config: small(),
-            crash_tick: 5,
-            total_ticks: 9,
-            frames: 32,
-            dropped: 0,
-            completed: 4,
-            snapshot_bytes: 4096,
-            snapshot_sessions: 4,
-            snapshot_ms: 0.4,
-            restore_ms: 0.6,
-            replay_ms: 2.5,
-            replay_frames: 12,
-            replay_budget_frames: 24,
-            identical: true,
-        };
-        let json = result.to_json();
-        assert_eq!(json_str(&json, "bench").as_deref(), Some("recover_stages"));
-        assert_eq!(json_str(&json, "array").as_deref(), Some("64x48"));
-        assert_eq!(json_f64(&json, "sessions"), Some(4.0));
-        assert_eq!(json_f64(&json, "frames_per_session"), Some(8.0));
-        assert_eq!(json_f64(&json, "snapshot_every"), Some(3.0));
-        assert_eq!(json_f64(&json, "seed"), Some(RECOVER_SEED as f64));
-        assert_eq!(json_f64(&json, "crash_tick"), Some(5.0));
-        assert_eq!(json_f64(&json, "total_ticks"), Some(9.0));
-        assert_eq!(json_f64(&json, "frames"), Some(32.0));
-        assert_eq!(json_f64(&json, "dropped"), Some(0.0));
-        assert_eq!(json_f64(&json, "snapshot_bytes"), Some(4096.0));
-        assert_eq!(json_f64(&json, "snapshot_sessions"), Some(4.0));
-        assert_eq!(json_f64(&json, "snapshot_bytes_per_session"), Some(1024.0));
-        assert_eq!(json_f64(&json, "replay_frames"), Some(12.0));
-        assert_eq!(json_f64(&json, "replay_budget_frames"), Some(24.0));
-        assert_eq!(json_bool(&json, "identical"), Some(true));
-        assert!(!json.contains("NaN"));
+        for config in [small(), RecoverBenchConfig::default()] {
+            let parsed = Record::parse(&config.header().to_text()).expect("the header parses");
+            assert_eq!(RecoverBenchConfig::from_record(&parsed), Ok(config));
+        }
+        let mut late = small();
+        late.snapshot_every = 6;
+        let parsed = Record::parse(&late.header().to_text()).unwrap();
+        assert!(RecoverBenchConfig::from_record(&parsed).unwrap_err().contains("kill window"));
     }
 }

@@ -1,12 +1,11 @@
 //! The scenario-fleet benchmark shared by the `scenario_stages` and
 //! `bench_compare` binaries.
 //!
-//! One measurement runs a [`hirise_scene::ScenarioGenerator`] scenario
-//! through the tracked pipeline and reports the three axes every future
-//! change is gated on:
+//! One record runs a [`hirise_scene::ScenarioGenerator`] scenario
+//! through the tracked pipeline and keeps the facts every change is
+//! gated on:
 //!
-//! * **latency** — mean tracked-mode ms/frame (plus the per-frame-mode
-//!   mean for the speedup context),
+//! * **policy** — keyframes, drift refreshes and tracked frames,
 //! * **accuracy** — mean tracked-ROI IoU against the scenario's ground
 //!   truth, and recall (the fraction of ground-truth boxes covered by
 //!   an ROI at IoU ≥ 0.5),
@@ -16,29 +15,27 @@
 //!   shifts tracked frames back to keyframes shows up as a keyframe
 //!   energy jump even when the total barely moves.
 //!
-//! Each full measurement also runs an `hirise-analog` pooling
-//! consistency probe on one representative frame: 16 pooled blocks are
-//! fed through the transistor-level [`PoolingCircuit`] and compared
-//! against the behavioural [`PoolingConfig::transfer`] the sensor
-//! actually uses, pinning the behavioural model to its analog origin on
-//! *scenario* data, not just on the synthetic ramps of the
-//! `analog_consistency` suite.
+//! Each record also runs an `hirise-analog` pooling consistency probe
+//! on one representative frame: 16 pooled blocks are fed through the
+//! transistor-level [`PoolingCircuit`] and compared against the
+//! behavioural [`PoolingConfig::transfer`] the sensor actually uses,
+//! pinning the behavioural model to its analog origin on *scenario*
+//! data, not just on the synthetic ramps of the `analog_consistency`
+//! suite.
 //!
-//! `scenario_stages` emits one JSON per scenario under
-//! `results/scenarios/`; `bench_compare` re-measures every committed
-//! baseline and fails on a latency, IoU, *or* energy regression.
+//! `scenario_stages` writes one record per scenario under
+//! `results/scenarios/`; `bench_compare` rebuilds every committed one
+//! and gates each fact exactly.
 //!
 //! [`RunReport::sensor_energy_mj_default`]: hirise::RunReport::sensor_energy_mj_default
 
-use std::time::Instant;
-
 use hirise::temporal::{TrackerState, TrackingPipeline};
-use hirise::{
-    HiriseConfig, HirisePipeline, PipelineScratch, Rect, SequenceSummary, TemporalConfig,
-};
+use hirise::{HiriseConfig, PipelineScratch, Rect, SequenceSummary, TemporalConfig};
 use hirise_analog::pooling::PoolingCircuit;
-use hirise_scene::{ScenarioGenerator, ScenarioSpec};
+use hirise_scene::{ScenarioGenerator, ScenarioSpec, VideoFrame};
 use hirise_sensor::PoolingConfig;
+
+use crate::record::{Bench, Record, MAX_COUNT};
 
 /// Seed of every committed scenario baseline (fixed: the fleet compares
 /// implementations, not scenes).
@@ -47,7 +44,12 @@ pub const SCENARIO_SEED: u64 = 0x5CE2;
 /// The IoU at which a ground-truth box counts as recalled by an ROI.
 pub const RECALL_IOU: f64 = 0.5;
 
-/// Configuration of one scenario measurement.
+/// Largest pooling factor the analog probe simulates: it builds one
+/// transistor leg per pooled pixel (k² legs), and the circuit solve
+/// grows steeply with the leg count.
+const MAX_PROBE_K: u32 = 16;
+
+/// Configuration of one scenario record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioBenchConfig {
     /// Scenario preset name ([`ScenarioSpec::by_name`]).
@@ -62,7 +64,7 @@ pub struct ScenarioBenchConfig {
     pub height: u32,
     /// In-sensor pooling factor.
     pub pooling_k: u32,
-    /// Measured video frames.
+    /// Video frames.
     pub frames: u32,
     /// Keyframe cadence of the tracked run.
     pub keyframe_interval: u32,
@@ -108,7 +110,16 @@ pub fn scenario_matrix() -> Vec<ScenarioBenchConfig> {
 /// sit far below the reference range, `scale` tracks sweep far above
 /// it) — the same per-dataset anchor calibration `video::pipeline_config`
 /// applies to the surveillance clip.
+///
+/// # Panics
+///
+/// Panics on a config [`Bench::from_record`] would reject.
 pub fn pipeline_config(config: &ScenarioBenchConfig) -> HiriseConfig {
+    tracker(config).expect("valid scenario-bench configuration").pipeline().config().clone()
+}
+
+/// The tracked pipeline over [`pipeline_config`].
+fn tracker(config: &ScenarioBenchConfig) -> hirise::Result<TrackingPipeline> {
     let (min_frac, max_frac) = match config.scenario.as_str() {
         "crowded" => (0.05, 0.30),
         "scale" => (0.10, 0.60),
@@ -124,184 +135,74 @@ pub fn pipeline_config(config: &ScenarioBenchConfig) -> HiriseConfig {
         fill_norm: 0.6,
         ..Default::default()
     };
-    HiriseConfig::builder(config.width, config.height)
+    let pipeline = HiriseConfig::builder(config.width, config.height)
         .pooling(config.pooling_k)
         .detector(detector)
         .max_rois(config.max_rois)
         .roi_margin(2)
-        .build()
-        .expect("valid scenario-bench configuration")
-}
-
-/// The tracked-mode measurement of one scenario — everything the
-/// `bench_compare` triple gate needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScenarioMeasurement {
-    /// Mean frame time of tracked (temporal-pipeline) mode.
-    pub tracked_ms_mean: f64,
-    /// Scheduled keyframes.
-    pub keyframes: u64,
-    /// Drift-triggered re-detections.
-    pub drift_refreshes: u64,
-    /// Pure tracked frames.
-    pub tracked_frames: u64,
-    /// Mean over all ROIs of each ROI's best IoU against ground truth
-    /// (0 when the run produced no ROIs — the departure scenario).
-    pub mean_roi_iou: f64,
-    /// Fraction of ground-truth boxes covered by an ROI at IoU ≥
-    /// [`RECALL_IOU`] (0 when the scenario shows no objects at all).
-    pub recall: f64,
-    /// Total sensor-side energy of the tracked run, millijoules.
-    pub energy_mj_total: f64,
-    /// The keyframe share of [`ScenarioMeasurement::energy_mj_total`].
-    pub energy_mj_keyframes: f64,
-    /// The drift-refresh share.
-    pub energy_mj_drift: f64,
-    /// The tracked-frame share.
-    pub energy_mj_tracked: f64,
-}
-
-/// A full scenario result: the tracked measurement plus the per-frame
-/// context and the analog consistency probe.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioBenchResult {
-    /// The configuration that produced it.
-    pub config: ScenarioBenchConfig,
-    /// Mean frame time of per-frame (still-pipeline) mode.
-    pub per_frame_ms_mean: f64,
-    /// The tracked-mode measurement.
-    pub tracked: ScenarioMeasurement,
-    /// Worst |circuit − behavioural| pooled-block error of the analog
-    /// probe, volts (see [`pooling_consistency`]).
-    pub pooling_residual_v: f64,
-}
-
-impl ScenarioBenchResult {
-    /// Per-frame-mode time over tracked-mode time (0 over zero frames).
-    pub fn speedup(&self) -> f64 {
-        if !(self.tracked.tracked_ms_mean > 0.0) {
-            return 0.0;
-        }
-        self.per_frame_ms_mean / self.tracked.tracked_ms_mean
-    }
-
-    /// Serialises the result in the `results/scenarios/scenario_*.json`
-    /// format.
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        let t = &self.tracked;
-        format!(
-            "{{\n  \"bench\": \"scenario_stages\",\n  \"scenario\": \"{}\",\n  \
-             \"label\": \"{}\",\n  \"array\": \"{}x{}\",\n  \"pooling_k\": {},\n  \
-             \"frames\": {},\n  \"keyframe_interval\": {},\n  \
-             \"max_rois\": {},\n  \"seed\": {},\n  \"per_frame_ms_mean\": {:.3},\n  \
-             \"tracked_ms_mean\": {:.3},\n  \"speedup\": {:.3},\n  \"keyframes\": {},\n  \
-             \"drift_refreshes\": {},\n  \"tracked_frames\": {},\n  \
-             \"mean_roi_iou\": {:.4},\n  \"recall\": {:.4},\n  \
-             \"energy_mj_total\": {:.6},\n  \"energy_mj_keyframes\": {:.6},\n  \
-             \"energy_mj_drift\": {:.6},\n  \"energy_mj_tracked\": {:.6},\n  \
-             \"pooling_residual_v\": {:.6}\n}}\n",
-            c.scenario,
-            c.label,
-            c.width,
-            c.height,
-            c.pooling_k,
-            c.frames,
-            c.keyframe_interval,
-            c.max_rois,
-            c.seed,
-            self.per_frame_ms_mean,
-            t.tracked_ms_mean,
-            self.speedup(),
-            t.keyframes,
-            t.drift_refreshes,
-            t.tracked_frames,
-            t.mean_roi_iou,
-            t.recall,
-            t.energy_mj_total,
-            t.energy_mj_keyframes,
-            t.energy_mj_drift,
-            t.energy_mj_tracked,
-            self.pooling_residual_v,
-        )
-    }
+        .build()?;
+    let temporal = TemporalConfig::default().keyframe_interval(config.keyframe_interval);
+    TrackingPipeline::new(pipeline, temporal)
 }
 
 /// Resolves the generator for `config`.
 ///
 /// # Panics
 ///
-/// Panics on an unknown scenario name — the binaries fail loudly rather
-/// than silently measuring the wrong scene.
+/// Panics on an unknown scenario name ([`Bench::from_record`] rejects
+/// it first).
 fn generator(config: &ScenarioBenchConfig) -> ScenarioGenerator {
     let spec = ScenarioSpec::by_name(&config.scenario)
         .unwrap_or_else(|| panic!("unknown scenario {:?}", config.scenario));
     ScenarioGenerator::new(spec, config.width, config.height, config.seed)
 }
 
-/// Mean over `rois` of each ROI's best IoU against `truth`, as a
-/// (sum, count) pair, plus the recalled-box count for `truth`.
-fn accuracy_sums(rois: &[Rect], truth: &[Rect]) -> (f64, u64, u64) {
-    let iou_sum: f64 =
-        rois.iter().map(|r| truth.iter().map(|t| r.iou(t)).fold(0.0, f64::max)).sum();
-    let recalled =
-        truth.iter().filter(|t| rois.iter().any(|r| r.iou(t) >= RECALL_IOU)).count() as u64;
-    (iou_sum, rois.len() as u64, recalled)
+/// The facts of one tracked run over a clip.
+pub(crate) struct TrackedRun {
+    /// Policy counters and per-kind sensor energy.
+    pub summary: SequenceSummary,
+    /// Mean over all ROIs of each ROI's best IoU against ground truth
+    /// (0 when the run produced no ROIs).
+    pub mean_roi_iou: f64,
+    /// Fraction of ground-truth boxes covered by an ROI at IoU ≥
+    /// [`RECALL_IOU`] (0 when the clip shows no objects at all).
+    pub recall: f64,
 }
 
-/// Runs the tracked-mode measurement: one warm-up pass over the whole
-/// sequence (buffers reach their high-water sizes), then a timed pass
-/// from reset state, with accuracy and energy bookkeeping outside the
-/// timed spans. Frames are rendered on demand (pure functions of their
-/// index), so only one frame is resident at a time.
-///
-/// # Panics
-///
-/// As for [`measure`].
-pub fn measure_tracked(config: &ScenarioBenchConfig) -> ScenarioMeasurement {
-    let scenario = generator(config);
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    let temporal = TemporalConfig::default().keyframe_interval(config.keyframe_interval);
-    let tracker =
-        TrackingPipeline::new(pipeline_config(config), temporal).expect("valid temporal policy");
+/// Runs `frames` frames of a clip through `tracker` from a cold state.
+/// Frames are rendered on demand (pure functions of their index), so
+/// only one frame is resident at a time — at 640×480×3 f32 a
+/// materialised 48-frame clip would hold ~180 MB for nothing.
+pub(crate) fn run_tracked(
+    tracker: &TrackingPipeline,
+    frames: u32,
+    frame: impl Fn(u32) -> VideoFrame,
+) -> TrackedRun {
     let mut scratch = PipelineScratch::new();
     let mut state = TrackerState::new();
-    for i in 0..config.frames {
-        let frame = scenario.frame(i);
-        tracker.run_frame(&frame.image, &mut state, &mut scratch).expect("warm-up succeeds");
-    }
-    state.reset();
     let mut summary = SequenceSummary::default();
-    let mut tracked_total = 0.0;
     let (mut iou_sum, mut iou_count) = (0.0f64, 0u64);
     let (mut recalled, mut truth_count) = (0u64, 0u64);
     let mut truth: Vec<Rect> = Vec::new();
-    for i in 0..config.frames {
-        let frame = scenario.frame(i);
-        let start = Instant::now();
+    for i in 0..frames {
+        let frame = frame(i);
         let report =
             tracker.run_frame(&frame.image, &mut state, &mut scratch).expect("frame succeeds");
-        tracked_total += ms(start.elapsed());
         summary.fold(&report);
         truth.clear();
         truth.extend(frame.objects.iter().map(|o| o.bbox));
-        let (sum, count, hits) = accuracy_sums(scratch.rois(), &truth);
-        iou_sum += sum;
-        iou_count += count;
-        recalled += hits;
+        let rois = scratch.rois();
+        iou_sum +=
+            rois.iter().map(|r| truth.iter().map(|t| r.iou(t)).fold(0.0, f64::max)).sum::<f64>();
+        iou_count += rois.len() as u64;
+        recalled +=
+            truth.iter().filter(|t| rois.iter().any(|r| r.iou(t) >= RECALL_IOU)).count() as u64;
         truth_count += truth.len() as u64;
     }
-    ScenarioMeasurement {
-        tracked_ms_mean: tracked_total / (config.frames as f64).max(1.0),
-        keyframes: summary.keyframes,
-        drift_refreshes: summary.drift_refreshes,
-        tracked_frames: summary.tracked_frames,
+    TrackedRun {
+        summary,
         mean_roi_iou: if iou_count == 0 { 0.0 } else { iou_sum / iou_count as f64 },
         recall: if truth_count == 0 { 0.0 } else { recalled as f64 / truth_count as f64 },
-        energy_mj_total: summary.energy_mj,
-        energy_mj_keyframes: summary.energy_mj_keyframes,
-        energy_mj_drift: summary.energy_mj_drift,
-        energy_mj_tracked: summary.energy_mj_tracked,
     }
 }
 
@@ -346,43 +247,63 @@ pub fn pooling_consistency(config: &ScenarioBenchConfig) -> f64 {
     worst
 }
 
-/// Runs the full measurement: the tracked pass, a warmed per-frame-mode
-/// pass over the same frames, and the analog consistency probe.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario or invalid configuration (e.g. `k`
-/// does not tile the array) — these binaries fail loudly rather than
-/// emitting bad data.
-pub fn measure(config: &ScenarioBenchConfig) -> ScenarioBenchResult {
-    let scenario = generator(config);
-    let pipeline = HirisePipeline::new(pipeline_config(config));
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    let mut scratch = PipelineScratch::new();
-    for i in 0..config.frames.min(2) {
-        let frame = scenario.frame(i);
-        pipeline.run_with_scratch(&frame.image, &mut scratch).expect("warm-up succeeds");
+impl Bench for ScenarioBenchConfig {
+    const NAME: &'static str = "scenario_stages";
+
+    fn from_record(record: &Record) -> Result<Self, String> {
+        let (width, height) = record.config_array()?;
+        let config = Self {
+            scenario: record.config_str("scenario")?.into(),
+            label: record.config_str("label")?.into(),
+            width,
+            height,
+            pooling_k: record.config_int("pooling_k", 1..=MAX_PROBE_K)?,
+            frames: record.config_int("frames", 0..=MAX_COUNT)?,
+            keyframe_interval: record.config_int("keyframe_interval", 1..=MAX_COUNT)?,
+            max_rois: record.config_int("max_rois", 1..=MAX_COUNT as usize)?,
+            seed: record.config_int("seed", 0..=u64::MAX)?,
+        };
+        if ScenarioSpec::by_name(&config.scenario).is_none() {
+            return Err(format!("config `scenario` = {:?} is not a preset", config.scenario));
+        }
+        tracker(&config).map_err(|e| e.to_string())?;
+        Ok(config)
     }
-    let mut per_frame_total = 0.0;
-    for i in 0..config.frames {
-        let frame = scenario.frame(i);
-        let start = Instant::now();
-        pipeline.run_with_scratch(&frame.image, &mut scratch).expect("frame succeeds");
-        per_frame_total += ms(start.elapsed());
+
+    fn header(&self) -> Record {
+        Record::new(Self::NAME)
+            .with_config("scenario", self.scenario.as_str())
+            .with_config("label", self.label.as_str())
+            .with_config("array", format!("{}x{}", self.width, self.height))
+            .with_config("pooling_k", self.pooling_k)
+            .with_config("frames", self.frames)
+            .with_config("keyframe_interval", self.keyframe_interval)
+            .with_config("max_rois", self.max_rois)
+            .with_config("seed", self.seed)
     }
-    drop(scratch);
-    ScenarioBenchResult {
-        config: config.clone(),
-        per_frame_ms_mean: per_frame_total / (config.frames as f64).max(1.0),
-        tracked: measure_tracked(config),
-        pooling_residual_v: pooling_consistency(config),
+
+    fn record(&self) -> Record {
+        let scenario = generator(self);
+        let tracker = tracker(self).expect("valid scenario-bench configuration");
+        let run = run_tracked(&tracker, self.frames, |i| scenario.frame(i));
+        let s = &run.summary;
+        self.header()
+            .with_count("keyframes", s.keyframes)
+            .with_count("drift_refreshes", s.drift_refreshes)
+            .with_count("tracked_frames", s.tracked_frames)
+            .with_metric("mean_roi_iou", run.mean_roi_iou, "ratio")
+            .with_metric("recall", run.recall, "ratio")
+            .with_metric("energy_mj_total", s.energy_mj, "mJ")
+            .with_metric("energy_mj_keyframes", s.energy_mj_keyframes, "mJ")
+            .with_metric("energy_mj_drift", s.energy_mj_drift, "mJ")
+            .with_metric("energy_mj_tracked", s.energy_mj_tracked, "mJ")
+            .with_metric("pooling_residual_v", pooling_consistency(self), "V")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stages::{json_f64, json_str};
 
     /// A small, fast variant of a matrix entry for structural tests.
     fn small(scenario: &str) -> ScenarioBenchConfig {
@@ -425,46 +346,33 @@ mod tests {
 
     #[test]
     fn tracked_measurement_shows_the_scenario_contract() {
-        let r = measure_tracked(&small("crossing"));
-        assert_eq!(r.keyframes + r.drift_refreshes + r.tracked_frames, 8);
-        assert!(r.tracked_ms_mean > 0.0);
-        assert!((0.0..=1.0).contains(&r.mean_roi_iou));
-        assert!((0.0..=1.0).contains(&r.recall));
-        assert!(r.energy_mj_total > 0.0);
-        let split = r.energy_mj_keyframes + r.energy_mj_drift + r.energy_mj_tracked;
-        assert!((split - r.energy_mj_total).abs() <= 1e-12 * r.energy_mj_total);
+        let r = small("crossing").record();
+        let count = |name| r.int(name).unwrap();
+        assert_eq!(count("keyframes") + count("drift_refreshes") + count("tracked_frames"), 8);
+        assert!((0.0..=1.0).contains(&r.float("mean_roi_iou").unwrap()));
+        assert!((0.0..=1.0).contains(&r.float("recall").unwrap()));
+        let total = r.float("energy_mj_total").unwrap();
+        assert!(total > 0.0);
+        let split: f64 = ["energy_mj_keyframes", "energy_mj_drift", "energy_mj_tracked"]
+            .into_iter()
+            .map(|name| r.float(name).unwrap())
+            .sum();
+        assert!((split - total).abs() <= 1e-12 * total);
+        assert_eq!(small("crossing").record(), r, "the record is a pure function of the config");
     }
 
     #[test]
     fn departure_scenario_yields_zeros_not_nan() {
-        // Frames 20.. of the departure scenario are object-free; over a
-        // window starting past the exits the accuracy ratios must be 0.
+        // Frames 20.. of the departure scenario are object-free; the
+        // accuracy ratios must stay finite ratios as the scene empties.
         let mut cfg = small("departure");
         cfg.frames = 24;
-        let r = measure_tracked(&cfg);
-        assert!(r.mean_roi_iou.is_finite() && r.recall.is_finite());
-        assert!((0.0..=1.0).contains(&r.recall));
-        // The whole-fleet invariant that matters: formatting never sees
-        // NaN even when a scenario empties out.
-        let result = ScenarioBenchResult {
-            config: cfg,
-            per_frame_ms_mean: 0.0,
-            tracked: ScenarioMeasurement {
-                tracked_ms_mean: 0.0,
-                keyframes: 0,
-                drift_refreshes: 0,
-                tracked_frames: 0,
-                mean_roi_iou: r.mean_roi_iou,
-                recall: r.recall,
-                energy_mj_total: 0.0,
-                energy_mj_keyframes: 0.0,
-                energy_mj_drift: 0.0,
-                energy_mj_tracked: 0.0,
-            },
-            pooling_residual_v: 0.0,
-        };
-        assert_eq!(result.speedup(), 0.0);
-        assert!(!result.to_json().contains("NaN"));
+        let r = cfg.record();
+        for name in ["mean_roi_iou", "recall"] {
+            let v = r.float(name).unwrap();
+            assert!(v.is_finite() && (0.0..=1.0).contains(&v), "{name} = {v}");
+        }
+        assert!(!r.to_text().contains("NaN"));
     }
 
     #[test]
@@ -480,38 +388,23 @@ mod tests {
 
     #[test]
     fn json_roundtrips_through_the_emitted_format() {
-        let mut cfg = small("defects");
-        cfg.label = "defects_small".into();
-        let result = ScenarioBenchResult {
-            config: cfg,
-            per_frame_ms_mean: 12.5,
-            tracked: ScenarioMeasurement {
-                tracked_ms_mean: 5.0,
-                keyframes: 2,
-                drift_refreshes: 1,
-                tracked_frames: 5,
-                mean_roi_iou: 0.625,
-                recall: 0.75,
-                energy_mj_total: 0.5,
-                energy_mj_keyframes: 0.3,
-                energy_mj_drift: 0.1,
-                energy_mj_tracked: 0.1,
-            },
-            pooling_residual_v: 0.002,
-        };
-        let json = result.to_json();
-        assert_eq!(json_str(&json, "bench").as_deref(), Some("scenario_stages"));
-        assert_eq!(json_str(&json, "scenario").as_deref(), Some("defects"));
-        assert_eq!(json_str(&json, "label").as_deref(), Some("defects_small"));
-        assert_eq!(json_str(&json, "array").as_deref(), Some("192x144"));
-        assert_eq!(json_f64(&json, "seed"), Some(SCENARIO_SEED as f64));
-        assert_eq!(json_f64(&json, "max_rois"), Some(8.0));
-        assert_eq!(json_f64(&json, "tracked_ms_mean"), Some(5.0));
-        assert_eq!(json_f64(&json, "mean_roi_iou"), Some(0.625));
-        assert_eq!(json_f64(&json, "recall"), Some(0.75));
-        assert_eq!(json_f64(&json, "energy_mj_total"), Some(0.5));
-        assert_eq!(json_f64(&json, "energy_mj_tracked"), Some(0.1));
-        assert_eq!(json_f64(&json, "pooling_residual_v"), Some(0.002));
-        assert!((json_f64(&json, "speedup").unwrap() - 2.5).abs() < 1e-3);
+        // Every matrix entry survives the text form, so bench_compare
+        // rebuilds exactly the committed configs.
+        for config in scenario_matrix() {
+            let parsed = Record::parse(&config.header().to_text()).expect("the header parses");
+            assert_eq!(ScenarioBenchConfig::from_record(&parsed), Ok(config));
+        }
+        let text = small("defects").header().to_text();
+        let bogus = Record::parse(
+            &text.replace("\"defects\",\n    \"label\"", "\"bogus\",\n    \"label\""),
+        )
+        .unwrap();
+        let err = ScenarioBenchConfig::from_record(&bogus).unwrap_err();
+        assert!(err.contains("bogus"), "{err}");
+        let mut coarse = small("clean");
+        coarse.pooling_k = 48;
+        let parsed = Record::parse(&coarse.header().to_text()).unwrap();
+        let err = ScenarioBenchConfig::from_record(&parsed).unwrap_err();
+        assert!(err.contains("`pooling_k` = 48 is outside 1..=16"), "{err}");
     }
 }

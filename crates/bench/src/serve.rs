@@ -1,39 +1,25 @@
-//! The serve-layer saturation benchmark shared by the `serve_stages`
-//! and `bench_compare` binaries.
+//! The serve-layer benchmark shared by the `serve_stages` and
+//! `bench_compare` binaries.
 //!
-//! One measurement drives a [`hirise_serve::ServeEngine`] through a
-//! seeded synthetic session mix ([`hirise_serve::traffic`]) to
-//! completion and reports the axes the serve gate rides on:
-//!
-//! * **capacity** — single-core frame throughput, folded with the
-//!   nominal per-session frame rate into
-//!   [`ServeBenchResult::sessions_per_core_at_slo`]: how many sessions
-//!   one core sustains while the fleet p99 stays inside the latency
-//!   SLO (0 when the SLO is violated — a saturated fleet has no rated
-//!   capacity),
-//! * **tail latency** — fleet p50/p99 over the merged per-session
-//!   reservoirs,
-//! * **the no-drop contract** — `dropped` is re-emitted so the gate can
-//!   hard-fail if an admitted session is ever discarded, and the
-//!   deterministic counters (`frames`, `deferred`, shed gauge) pin the
-//!   workload itself: the same seed must serve the same frames.
-//!
-//! `serve_stages` emits `results/BENCH_serve.json`; `bench_compare`
-//! re-measures the committed baseline with its own configuration and
-//! fails on a p99 or sessions-per-core regression (loose budget — wall
-//! clock on shared runners is noisy) or on *any* drop or frame-count
-//! mismatch (hard, deterministic).
-
-use std::time::Instant;
+//! One record drives a [`hirise_serve::ServeEngine`] through a seeded
+//! synthetic session mix ([`hirise_serve::traffic`]) at 3× rated load
+//! to completion and keeps the fleet's deterministic counters: frames
+//! served, admissions and refusals, completions, deferrals, the highest
+//! shed level, and `dropped` — the no-drop contract, structurally zero.
+//! The same seed must serve the same frames, so `bench_compare` gates
+//! every counter exactly; fleet latency is wall clock and stays out of
+//! the record.
 
 use hirise::{HiriseConfig, TemporalConfig};
 use hirise_serve::{generate, run_plans, ServeConfig, ServeEngine, TrafficConfig};
+
+use crate::record::{Bench, Record, MAX_COUNT, MAX_SIDE};
 
 /// Seed of the committed serve baseline (fixed: the gate compares
 /// implementations, not workloads).
 pub const SERVE_SEED: u64 = 0x5E12E;
 
-/// Configuration of one serve measurement.
+/// Configuration of one serve record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeBenchConfig {
     /// Sessions in the synthetic mix.
@@ -52,18 +38,13 @@ pub struct ServeBenchConfig {
     /// The load the fleet is provisioned for — the shed ladder engages
     /// above it, so `sessions > rated_sessions` exercises degradation.
     pub rated_sessions: usize,
-    /// Nominal per-session frame rate the capacity metric is quoted
-    /// against (sessions/core = throughput ÷ this).
-    pub session_fps: f64,
-    /// Fleet p99 latency SLO, ms.
-    pub slo_ms: f64,
     /// Traffic seed.
     pub seed: u64,
 }
 
 impl Default for ServeBenchConfig {
     /// The committed-baseline shape: a 24-session mix at 3× rated load
-    /// on a small array, 30 fps sessions, 50 ms p99 SLO.
+    /// on a small array.
     fn default() -> Self {
         Self {
             sessions: 24,
@@ -73,16 +54,13 @@ impl Default for ServeBenchConfig {
             pooling_k: 2,
             keyframe_interval: 8,
             rated_sessions: 8,
-            session_fps: 30.0,
-            slo_ms: 50.0,
             seed: SERVE_SEED,
         }
     }
 }
 
-/// The traffic mix a configuration expands to (public so tests and the
-/// gate can recompute the expected workload from the same source).
-pub fn traffic(config: &ServeBenchConfig) -> TrafficConfig {
+/// The traffic mix a configuration expands to.
+fn traffic(config: &ServeBenchConfig) -> TrafficConfig {
     TrafficConfig {
         sessions: config.sessions,
         seed: config.seed,
@@ -93,154 +71,71 @@ pub fn traffic(config: &ServeBenchConfig) -> TrafficConfig {
 }
 
 /// Builds the engine for a configuration. The slab cap equals the
-/// session count, so the measurement admits the whole mix — overload is
+/// session count, so the record admits the whole mix — overload is
 /// absorbed by the shed ladder, not by refusals.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration — the binaries fail loudly rather
-/// than emitting bad data.
-fn engine(config: &ServeBenchConfig) -> ServeEngine {
+fn engine(config: &ServeBenchConfig) -> hirise::Result<ServeEngine> {
     let pipeline = HiriseConfig::builder(config.width, config.height)
         .pooling(config.pooling_k)
         .roi_margin(2)
-        .build()
-        .expect("valid serve-bench pipeline configuration");
+        .build()?;
     let temporal = TemporalConfig::default().keyframe_interval(config.keyframe_interval);
     let serve = ServeConfig::new(pipeline)
         .temporal(temporal)
         .rated_sessions(config.rated_sessions)
         .max_sessions(config.sessions.max(config.rated_sessions))
         .latency_window(256);
-    ServeEngine::new(serve).expect("valid serve-bench fleet configuration")
+    ServeEngine::new(serve)
 }
 
-/// One serve measurement: the deterministic fleet counters plus the
-/// wall-clock capacity numbers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeBenchResult {
-    /// The configuration that produced it.
-    pub config: ServeBenchConfig,
-    /// Frames served (deterministic: a pure function of the config).
-    pub frames: u64,
-    /// Wall-clock time of the timed run, ms.
-    pub wall_ms: f64,
-    /// Fleet median frame latency, ms.
-    pub p50_ms: f64,
-    /// Fleet tail frame latency, ms.
-    pub p99_ms: f64,
-    /// Sessions admitted (deterministic).
-    pub admitted: u64,
-    /// Sessions refused at the cap (0 by construction here — the slab
-    /// is sized to the mix).
-    pub rejected: u64,
-    /// Sessions that served every requested frame.
-    pub completed: u64,
-    /// Sessions dropped after admission — structurally zero; re-emitted
-    /// so the gate can hard-fail on any future violation.
-    pub dropped: u64,
-    /// Total (frame × tick) backpressure deferrals (deterministic).
-    pub deferred: u64,
-    /// Highest shed level stamped on any frame (deterministic).
-    pub max_shed_level: u8,
-}
+impl Bench for ServeBenchConfig {
+    const NAME: &'static str = "serve_stages";
 
-impl ServeBenchResult {
-    /// Single-core serve throughput, frames per second (0 over a zero
-    /// or unmeasurable wall clock).
-    pub fn throughput_fps(&self) -> f64 {
-        if !(self.wall_ms > 0.0) {
-            return 0.0;
-        }
-        self.frames as f64 / (self.wall_ms / 1e3)
+    fn from_record(record: &Record) -> Result<Self, String> {
+        let (width, height) = record.config_array()?;
+        let count = |key| record.config_int(key, 1..=MAX_COUNT);
+        let config = Self {
+            sessions: count("sessions")? as usize,
+            frames_per_session: count("frames_per_session")?,
+            width,
+            height,
+            pooling_k: record.config_int("pooling_k", 1..=MAX_SIDE)?,
+            keyframe_interval: count("keyframe_interval")?,
+            rated_sessions: count("rated_sessions")? as usize,
+            seed: record.config_int("seed", 0..=u64::MAX)?,
+        };
+        engine(&config).map_err(|e| e.to_string())?;
+        Ok(config)
     }
 
-    /// The headline capacity metric: sessions one core sustains at the
-    /// nominal per-session frame rate, **provided** the fleet p99 met
-    /// the SLO — 0 otherwise (a fleet past its SLO has no rated
-    /// capacity, however many frames it pushed).
-    pub fn sessions_per_core_at_slo(&self) -> f64 {
-        if !(self.config.session_fps > 0.0) || !(self.p99_ms <= self.config.slo_ms) {
-            return 0.0;
-        }
-        (self.throughput_fps() / self.config.session_fps).floor()
+    fn header(&self) -> Record {
+        Record::new(Self::NAME)
+            .with_config("array", format!("{}x{}", self.width, self.height))
+            .with_config("pooling_k", self.pooling_k)
+            .with_config("keyframe_interval", self.keyframe_interval)
+            .with_config("sessions", self.sessions)
+            .with_config("frames_per_session", self.frames_per_session)
+            .with_config("rated_sessions", self.rated_sessions)
+            .with_config("seed", self.seed)
     }
 
-    /// Serialises the result in the `results/BENCH_serve.json` format.
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        format!(
-            "{{\n  \"bench\": \"serve_stages\",\n  \"array\": \"{}x{}\",\n  \
-             \"pooling_k\": {},\n  \"keyframe_interval\": {},\n  \"sessions\": {},\n  \
-             \"frames_per_session\": {},\n  \"rated_sessions\": {},\n  \
-             \"session_fps\": {:.1},\n  \"slo_ms\": {:.1},\n  \"seed\": {},\n  \
-             \"frames\": {},\n  \"wall_ms\": {:.3},\n  \"throughput_fps\": {:.3},\n  \
-             \"p50_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \
-             \"sessions_per_core_at_slo\": {:.0},\n  \"admitted\": {},\n  \
-             \"rejected\": {},\n  \"completed\": {},\n  \"dropped\": {},\n  \
-             \"deferred\": {},\n  \"max_shed_level\": {}\n}}\n",
-            c.width,
-            c.height,
-            c.pooling_k,
-            c.keyframe_interval,
-            c.sessions,
-            c.frames_per_session,
-            c.rated_sessions,
-            c.session_fps,
-            c.slo_ms,
-            c.seed,
-            self.frames,
-            self.wall_ms,
-            self.throughput_fps(),
-            self.p50_ms,
-            self.p99_ms,
-            self.sessions_per_core_at_slo(),
-            self.admitted,
-            self.rejected,
-            self.completed,
-            self.dropped,
-            self.deferred,
-            self.max_shed_level,
-        )
-    }
-}
-
-/// Runs the measurement: one untimed warm pass over the whole workload
-/// (allocator and cache state settle, per the repo's bench idiom), then
-/// a timed pass on a fresh engine. Serving is single-threaded, so the
-/// throughput — and the capacity metric derived from it — is per core.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration or a failed frame.
-pub fn measure(config: &ServeBenchConfig) -> ServeBenchResult {
-    let plans = generate(&traffic(config));
-    let mut warm = engine(config);
-    run_plans(&mut warm, &plans).expect("warm serve pass succeeds");
-    let mut timed = engine(config);
-    let start = Instant::now();
-    run_plans(&mut timed, &plans).expect("timed serve pass succeeds");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let summary = timed.summary();
-    ServeBenchResult {
-        config: config.clone(),
-        frames: summary.frames,
-        wall_ms,
-        p50_ms: summary.p50_ms,
-        p99_ms: summary.p99_ms,
-        admitted: summary.admitted,
-        rejected: summary.rejected,
-        completed: summary.completed,
-        dropped: summary.dropped,
-        deferred: summary.deferred,
-        max_shed_level: summary.max_shed_level,
+    fn record(&self) -> Record {
+        let mut engine = engine(self).expect("valid serve-bench configuration");
+        run_plans(&mut engine, &generate(&traffic(self))).expect("serve run succeeds");
+        let s = engine.summary();
+        self.header()
+            .with_count("frames", s.frames)
+            .with_count("admitted", s.admitted)
+            .with_count("rejected", s.rejected)
+            .with_count("completed", s.completed)
+            .with_count("dropped", s.dropped)
+            .with_count("deferred", s.deferred)
+            .with_count("max_shed_level", s.max_shed_level)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stages::{json_f64, json_str};
 
     /// A small, fast fleet for structural tests: 6 sessions at 3× rated
     /// load on a tiny array.
@@ -253,8 +148,6 @@ mod tests {
             pooling_k: 2,
             keyframe_interval: 4,
             rated_sessions: 2,
-            session_fps: 30.0,
-            slo_ms: 250.0,
             seed: SERVE_SEED,
         }
     }
@@ -264,89 +157,31 @@ mod tests {
         let config = small();
         let expected: u64 =
             generate(&traffic(&config)).iter().map(|p| u64::from(p.spec.frames)).sum();
-        let r = measure(&config);
-        assert_eq!(r.dropped, 0, "the no-drop contract leaked into the bench");
-        assert_eq!(r.rejected, 0, "the slab is sized to the mix; nothing should be refused");
-        assert_eq!(r.admitted, config.sessions as u64);
-        assert_eq!(r.completed, r.admitted, "every admitted session must finish");
-        assert_eq!(r.frames, expected, "served frames must match the planned workload");
-        assert!(r.max_shed_level >= 1, "3x rated load never engaged the shed ladder");
-        assert!(r.wall_ms > 0.0 && r.throughput_fps() > 0.0);
-        assert!(r.p50_ms > 0.0 && r.p99_ms >= r.p50_ms);
+        let r = config.record();
+        assert!(r.contract_violations().is_empty(), "{:?}", r.contract_violations());
+        assert_eq!(r.int("dropped"), Some(0), "the no-drop contract leaked into the bench");
+        assert_eq!(r.int("rejected"), Some(0), "the slab is sized to the mix");
+        assert_eq!(r.int("admitted"), Some(config.sessions as u64));
+        assert_eq!(r.int("completed"), r.int("admitted"), "every admitted session must finish");
+        assert_eq!(r.int("frames"), Some(expected), "served frames must match the plan");
+        assert!(r.int("max_shed_level").unwrap() >= 1, "3x rated load never engaged shedding");
     }
 
     #[test]
     fn deterministic_counters_are_pure_in_the_config() {
-        let a = measure(&small());
-        let b = measure(&small());
-        // Wall clock varies run to run; everything the gate hard-fails
-        // on must not.
-        assert_eq!(
-            (a.frames, a.admitted, a.completed, a.deferred, a.max_shed_level),
-            (b.frames, b.admitted, b.completed, b.deferred, b.max_shed_level),
-        );
-    }
-
-    #[test]
-    fn capacity_metric_zeroes_past_the_slo() {
-        let base = ServeBenchResult {
-            config: small(),
-            frames: 600,
-            wall_ms: 1000.0,
-            p50_ms: 2.0,
-            p99_ms: 5.0,
-            admitted: 6,
-            rejected: 0,
-            completed: 6,
-            dropped: 0,
-            deferred: 0,
-            max_shed_level: 1,
-        };
-        // 600 frames/s over 30 fps sessions → 20 sessions/core.
-        assert_eq!(base.sessions_per_core_at_slo(), 20.0);
-        let late = ServeBenchResult { p99_ms: 400.0, ..base.clone() };
-        assert_eq!(late.sessions_per_core_at_slo(), 0.0, "past the SLO there is no capacity");
-        let nan = ServeBenchResult { p99_ms: f64::NAN, ..base.clone() };
-        assert_eq!(nan.sessions_per_core_at_slo(), 0.0, "NaN p99 must not rate capacity");
-        let unmeasured = ServeBenchResult { wall_ms: 0.0, ..base };
-        assert_eq!(unmeasured.throughput_fps(), 0.0);
+        assert_eq!(small().record(), small().record());
     }
 
     #[test]
     fn json_roundtrips_through_the_emitted_format() {
-        let result = ServeBenchResult {
-            config: small(),
-            frames: 48,
-            wall_ms: 120.5,
-            p50_ms: 2.25,
-            p99_ms: 7.5,
-            admitted: 6,
-            rejected: 0,
-            completed: 6,
-            dropped: 0,
-            deferred: 12,
-            max_shed_level: 2,
-        };
-        let json = result.to_json();
-        assert_eq!(json_str(&json, "bench").as_deref(), Some("serve_stages"));
-        assert_eq!(json_str(&json, "array").as_deref(), Some("64x48"));
-        assert_eq!(json_f64(&json, "pooling_k"), Some(2.0));
-        assert_eq!(json_f64(&json, "keyframe_interval"), Some(4.0));
-        assert_eq!(json_f64(&json, "sessions"), Some(6.0));
-        assert_eq!(json_f64(&json, "frames_per_session"), Some(4.0));
-        assert_eq!(json_f64(&json, "rated_sessions"), Some(2.0));
-        assert_eq!(json_f64(&json, "session_fps"), Some(30.0));
-        assert_eq!(json_f64(&json, "slo_ms"), Some(250.0));
-        assert_eq!(json_f64(&json, "seed"), Some(SERVE_SEED as f64));
-        assert_eq!(json_f64(&json, "frames"), Some(48.0));
-        assert_eq!(json_f64(&json, "wall_ms"), Some(120.5));
-        assert_eq!(json_f64(&json, "p50_ms"), Some(2.25));
-        assert_eq!(json_f64(&json, "p99_ms"), Some(7.5));
-        assert_eq!(json_f64(&json, "deferred"), Some(12.0));
-        assert_eq!(json_f64(&json, "dropped"), Some(0.0));
-        assert_eq!(json_f64(&json, "max_shed_level"), Some(2.0));
-        // 48 frames / 0.1205 s ≈ 398 fps → 13 sessions/core at 30 fps.
-        assert_eq!(json_f64(&json, "sessions_per_core_at_slo"), Some(13.0));
-        assert!(!json.contains("NaN"));
+        let config = small();
+        let parsed = Record::parse(&config.header().to_text()).expect("the header parses");
+        assert_eq!(ServeBenchConfig::from_record(&parsed), Ok(config));
+        assert_eq!(
+            ServeBenchConfig::from_record(
+                &Record::parse(&ServeBenchConfig::default().header().to_text()).unwrap()
+            ),
+            Ok(ServeBenchConfig::default())
+        );
     }
 }

@@ -170,10 +170,11 @@ fn tracked_sequences_move_less_data_than_per_frame_detection() {
 
 #[test]
 fn tracking_quality_holds_on_the_reference_video() {
-    // The committed benchmark scene (video_stages / BENCH_temporal.json)
-    // must keep its accuracy floor: mean over tracked-mode ROIs of each
-    // ROI's best IoU against the ground-truth boxes ≥ 0.5. One pass over
-    // a 16-frame prefix of the reference sequence.
+    // The committed benchmark scene (video_stages / BENCH_temporal.json,
+    // whose 48-frame mean IoU bench_compare pins exactly) must also keep
+    // an accuracy floor on its prefix: mean over tracked-mode ROIs of
+    // each ROI's best IoU against the ground-truth boxes ≥ 0.5. One pass
+    // over a 16-frame prefix of the reference sequence.
     use hirise_bench::video::{pipeline_config, reference_seed, VideoBenchConfig};
 
     let bench = VideoBenchConfig::default();
