@@ -12,25 +12,15 @@ use crate::netlist::{Circuit, NodeId, SourceId};
 use crate::waveform::Waveform;
 use crate::{AnalogError, Result};
 
-/// Solver tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimOptions {
-    /// Shunt conductance from every node to ground, stabilising floating
-    /// nodes (SPICE's GMIN).
-    pub gmin: f64,
-    /// Maximum Newton–Raphson iterations per solve point.
-    pub max_iterations: usize,
-    /// Convergence tolerance on the max node-voltage update, volts.
-    pub tolerance: f64,
-    /// Maximum per-iteration voltage step, volts (Newton damping).
-    pub max_step: f64,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        Self { gmin: 1e-12, max_iterations: 200, tolerance: 1e-9, max_step: 0.5 }
-    }
-}
+/// Shunt conductance from every node to ground, stabilising floating
+/// nodes (SPICE's GMIN).
+const GMIN: f64 = 1e-12;
+/// Maximum Newton–Raphson iterations per solve point.
+const MAX_ITERATIONS: usize = 200;
+/// Convergence tolerance on the max node-voltage update, volts.
+const TOLERANCE: f64 = 1e-9;
+/// Maximum per-iteration voltage step, volts (Newton damping).
+const MAX_STEP: f64 = 0.5;
 
 /// DC operating point.
 #[derive(Debug, Clone)]
@@ -55,14 +45,6 @@ impl DcSolution {
     /// positive terminal through the source to the negative terminal).
     pub fn source_current(&self, src: SourceId) -> f64 {
         self.currents[src.0]
-    }
-
-    /// All node voltages indexed by raw node id (ground included as 0.0).
-    pub fn all_voltages(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.voltages.len() + 1);
-        out.push(0.0);
-        out.extend_from_slice(&self.voltages);
-        out
     }
 }
 
@@ -159,23 +141,12 @@ fn solve_dense(a: &mut [Vec<f64>], b: &mut [f64]) -> Result<Vec<f64>> {
 #[derive(Debug, Clone)]
 pub struct Simulator<'c> {
     circuit: &'c Circuit,
-    options: SimOptions,
 }
 
 impl<'c> Simulator<'c> {
-    /// Creates a simulator with default options.
+    /// Creates a simulator.
     pub fn new(circuit: &'c Circuit) -> Self {
-        Self { circuit, options: SimOptions::default() }
-    }
-
-    /// Creates a simulator with explicit options.
-    pub fn with_options(circuit: &'c Circuit, options: SimOptions) -> Self {
-        Self { circuit, options }
-    }
-
-    /// Current solver options.
-    pub fn options(&self) -> SimOptions {
-        self.options
+        Self { circuit }
     }
 
     fn unknown_count(&self) -> usize {
@@ -208,13 +179,13 @@ impl<'c> Simulator<'c> {
             }
         };
 
-        for iter in 0..self.options.max_iterations {
+        for iter in 0..MAX_ITERATIONS {
             let mut a = vec![vec![0.0; n]; n];
             let mut b = vec![0.0; n];
 
             // GMIN from every node to ground.
             for (i, row) in a.iter_mut().enumerate().take(nn) {
-                row[i] += self.options.gmin;
+                row[i] += GMIN;
             }
 
             let stamp_g = |a: &mut Vec<Vec<f64>>, p: usize, q: usize, g: f64| {
@@ -307,19 +278,18 @@ impl<'c> Simulator<'c> {
             for i in 0..nn {
                 max_dv = max_dv.max((z[i] - x[i]).abs());
             }
-            let alpha =
-                if max_dv > self.options.max_step { self.options.max_step / max_dv } else { 1.0 };
+            let alpha = if max_dv > MAX_STEP { MAX_STEP / max_dv } else { 1.0 };
             for i in 0..n {
                 x[i] += alpha * (z[i] - x[i]);
             }
 
-            if max_dv < self.options.tolerance {
+            if max_dv < TOLERANCE {
                 // One clean full-step solve already converged.
                 return Ok(x);
             }
-            if iter == self.options.max_iterations - 1 {
+            if iter == MAX_ITERATIONS - 1 {
                 return Err(AnalogError::NoConvergence {
-                    iterations: self.options.max_iterations,
+                    iterations: MAX_ITERATIONS,
                     residual: max_dv,
                 });
             }

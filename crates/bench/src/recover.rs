@@ -225,7 +225,7 @@ impl Bench for RecoverBenchConfig {
                 &factory,
                 journal,
                 self.snapshot_every,
-                None,
+                1,
                 &mut |tick| tick == kill,
             )
             .expect("recover-bench run serves until the kill or the drain")

@@ -229,5 +229,8 @@ fn the_committed_records_reproduce_exactly() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(0), "committed facts moved; stderr: {stderr}");
     assert!(!stderr.contains("REGRESSION"), "{stderr}");
+    // Injected chaos faults unwind without the panic hook: a panic
+    // report here is a real one.
+    assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -280,11 +280,6 @@ impl Detector {
         &self.config
     }
 
-    /// Mutable access (used by calibration and ablations).
-    pub fn config_mut(&mut self) -> &mut DetectorConfig {
-        &mut self.config
-    }
-
     fn score(&self, f: &crate::features::WindowFeatures) -> f64 {
         let [w_sd, w_tx, w_ct, w_sat, w_ring] = self.config.weights;
         let [n_sd, n_tx, n_ct, n_sat] = self.config.cue_scales;

@@ -98,8 +98,7 @@ fn seeded_crash_recovers_a_fully_faulted_fleet_bit_identically() {
     // Uninterrupted reference — same faults, no process death.
     let mut engine = ServeEngine::new(serve_config(&plan)).unwrap();
     let mut journal = ArrivalJournal::new();
-    run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 0, None, &mut |_| false)
-        .unwrap();
+    run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 0, 1, &mut |_| false).unwrap();
     let baseline = engine.summary();
     assert_eq!(baseline.quarantined, 1, "the pinned panic must land");
     assert_eq!(baseline.recovered, 1);
@@ -117,7 +116,7 @@ fn seeded_crash_recovers_a_fully_faulted_fleet_bit_identically() {
     let mut engine = ServeEngine::new(serve_config(&plan)).unwrap();
     let mut journal = ArrivalJournal::new();
     let outcome =
-        run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 3, None, &mut |tick| {
+        run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 3, 1, &mut |tick| {
             crash.crashes_at(FLEET, tick)
         })
         .unwrap();
@@ -137,7 +136,7 @@ fn seeded_crash_recovers_a_fully_faulted_fleet_bit_identically() {
         &factory,
         &mut journal,
         3,
-        None,
+        1,
         &mut |_| false,
     )
     .unwrap();

@@ -172,11 +172,6 @@ impl Plane {
         &mut self.data
     }
 
-    /// Consumes the plane and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// One row of samples.
     ///
     /// # Panics

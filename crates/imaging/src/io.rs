@@ -41,16 +41,6 @@ pub fn write_ppm<W: Write>(img: &RgbImage, mut w: W) -> Result<()> {
     Ok(())
 }
 
-/// Saves a gray image to `path` as PGM.
-///
-/// # Errors
-///
-/// Propagates I/O failures as [`ImagingError::Io`].
-pub fn save_pgm(img: &GrayImage, path: impl AsRef<Path>) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_pgm(img, std::io::BufWriter::new(file))
-}
-
 /// Saves an RGB image to `path` as PPM.
 ///
 /// # Errors
@@ -153,16 +143,6 @@ pub fn read_ppm<R: BufRead>(mut r: R) -> Result<RgbImage> {
         Plane::from_vec(w, h, gp)?,
         Plane::from_vec(w, h, bp)?,
     )
-}
-
-/// Loads a PGM file from disk.
-///
-/// # Errors
-///
-/// See [`read_pgm`].
-pub fn load_pgm(path: impl AsRef<Path>) -> Result<GrayImage> {
-    let file = std::fs::File::open(path)?;
-    read_pgm(std::io::BufReader::new(file))
 }
 
 /// Loads a PPM file from disk.

@@ -85,11 +85,6 @@ impl FacePatchGenerator {
         Self { base: base.max(16) }
     }
 
-    /// Base resolution.
-    pub fn base_size(&self) -> u32 {
-        self.base
-    }
-
     fn thick_point(plane: &mut Plane, x: f32, y: f32, r: u32, v: f32) {
         let rect = Rect::new(
             (x - r as f32).max(0.0) as u32,

@@ -279,7 +279,12 @@ impl<T> SendPtr<T> {
 /// when one is supplied and `shards > 1`, inline otherwise. Because the
 /// bands partition the buffer, the result is identical for every shard
 /// count whenever `f` is a pure function of the absolute row positions.
-pub(crate) fn shard_rows<T: Send, F: Fn(usize, usize, &mut [T]) + Sync>(
+/// `shards` is clamped to `1..=rows`, so shard indices stay below both.
+///
+/// # Panics
+///
+/// If `data.len() != rows * row_len`.
+pub fn shard_rows<T: Send, F: Fn(usize, usize, &mut [T]) + Sync>(
     pool: Option<&ShardPool>,
     data: &mut [T],
     rows: usize,
@@ -287,7 +292,7 @@ pub(crate) fn shard_rows<T: Send, F: Fn(usize, usize, &mut [T]) + Sync>(
     shards: usize,
     f: F,
 ) {
-    debug_assert_eq!(data.len(), rows * row_len);
+    assert_eq!(data.len(), rows * row_len, "shard_rows: buffer is not rows × row_len");
     let shards = shards.clamp(1, rows.max(1));
     match pool {
         Some(pool) if shards > 1 => {

@@ -10,8 +10,9 @@
 //! load ratio `active / rated_sessions`, and lets every session move
 //! this tick's frame arrivals into its bounded queue, stamping each
 //! queued frame with the session's current shed level. Between ticks,
-//! [`ServeEngine::serve`] (or [`ServeEngine::serve_parallel`]) drains
-//! the queues round-robin, `quantum` frames per session per round.
+//! [`ServeEngine::serve_parallel`] drains the queues round-robin,
+//! `quantum` frames per session per round, on the engine's persistent
+//! worker pool (or inline on the caller with one worker).
 //!
 //! # Determinism
 //!
@@ -31,9 +32,11 @@
 //! to later ticks. [`ServeSummary::dropped`] exists to pin that
 //! contract at 0 in every report.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use hirise::{HiriseConfig, HiriseError, PipelineScratch, Result, TemporalConfig};
+use hirise::{HiriseConfig, PipelineScratch, Result, TemporalConfig};
+use hirise_sensor::shard::shard_rows;
+use hirise_sensor::ShardPool;
 
 use crate::fault::FaultInjector;
 use crate::session::{FrameSource, Session, SessionReport, SessionSpec};
@@ -81,65 +84,6 @@ impl std::fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
-/// Why a serve pass failed. With session isolation on (the default) a
-/// panicking session is quarantined rather than surfaced here, so
-/// [`ServeError::WorkerPanicked`] only appears when isolation is
-/// explicitly disabled or a worker fails outside any session's frame.
-#[derive(Debug)]
-pub enum ServeError {
-    /// A serve worker thread panicked. Replaces the old fleet-fatal
-    /// `handle.join().expect(...)`: the caller gets a structured error
-    /// (and every other worker still wound down cleanly) instead of an
-    /// abort.
-    WorkerPanicked {
-        /// The slab shard index of the panicking worker (`0` for the
-        /// serial path).
-        worker: usize,
-        /// The panic payload, when it was a string.
-        message: String,
-    },
-    /// A frame-level pipeline failure (the session's queue state stays
-    /// consistent — the failed frame is consumed).
-    Frame(HiriseError),
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::WorkerPanicked { worker, message } => {
-                write!(f, "serve worker {worker} panicked: {message}")
-            }
-            ServeError::Frame(e) => write!(f, "frame failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ServeError::Frame(e) => Some(e),
-            ServeError::WorkerPanicked { .. } => None,
-        }
-    }
-}
-
-impl From<HiriseError> for ServeError {
-    fn from(e: HiriseError) -> Self {
-        ServeError::Frame(e)
-    }
-}
-
-/// Extracts a human-readable message from a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Configuration of a [`ServeEngine`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -165,11 +109,6 @@ pub struct ServeConfig {
     /// Optional per-frame fault oracle (chaos testing); `None` disables
     /// injection entirely.
     pub fault: Option<Arc<dyn FaultInjector>>,
-    /// Wrap each session's frame work in a panic boundary: a panicking
-    /// session is quarantined and restored from its keyframe checkpoint
-    /// while the fleet keeps serving. Off, a panic escapes to the serve
-    /// worker and surfaces as [`ServeError::WorkerPanicked`].
-    pub isolate_sessions: bool,
     /// Per-frame latency deadline for the watchdog, ms (`0` disables
     /// it). A frame over deadline escalates its session one shed rung on
     /// the next tick's arrivals — the session gets cheaper before the
@@ -178,8 +117,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A small default fleet: rated for 8 sessions, capped at 32,
-    /// session isolation on, no fault injection, watchdog disabled.
+    /// A small default fleet: rated for 8 sessions, capped at 32, no
+    /// fault injection, watchdog disabled.
     pub fn new(pipeline: HiriseConfig) -> Self {
         Self {
             pipeline,
@@ -191,7 +130,6 @@ impl ServeConfig {
             latency_window: 128,
             shed: ShedPolicy::default(),
             fault: None,
-            isolate_sessions: true,
             deadline_ms: 0.0,
         }
     }
@@ -241,12 +179,6 @@ impl ServeConfig {
     /// Installs a per-frame fault oracle.
     pub fn fault(mut self, fault: Arc<dyn FaultInjector>) -> Self {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Enables or disables the per-session panic boundary.
-    pub fn isolate_sessions(mut self, isolate: bool) -> Self {
-        self.isolate_sessions = isolate;
         self
     }
 
@@ -374,6 +306,20 @@ impl std::fmt::Display for ServeSummary {
     }
 }
 
+/// One serve worker's state: the frame scratch it reuses across passes
+/// and the outcome of its band in the last pass.
+#[derive(Debug)]
+pub(crate) struct Worker {
+    scratch: PipelineScratch,
+    outcome: Result<u64>,
+}
+
+impl Default for Worker {
+    fn default() -> Self {
+        Self { scratch: PipelineScratch::new(), outcome: Ok(0) }
+    }
+}
+
 /// The multi-tenant engine. See the module docs for the lifecycle.
 #[derive(Debug)]
 pub struct ServeEngine {
@@ -386,9 +332,13 @@ pub struct ServeEngine {
     /// Free slot indices (top of the stack is the next admission's
     /// slot); seeded in reverse so slots fill in index order.
     pub(crate) free: Vec<usize>,
-    /// The serial-path scratch, reused across every frame of every
-    /// session.
-    scratch: PipelineScratch,
+    /// The serve worker threads (the caller is worker 0).
+    pool: ShardPool,
+    /// One scratch and pass outcome per worker, reused across passes;
+    /// rebuilt with `pool` only when the worker count changes. Its
+    /// length is the worker count [`ServeEngine::drain`] and journal
+    /// replay serve at.
+    pub(crate) workers: Vec<Mutex<Worker>>,
     pub(crate) ticks: u64,
     pub(crate) admitted: u64,
     pub(crate) rejected: u64,
@@ -412,7 +362,8 @@ impl ServeEngine {
             config,
             slots: (0..max).map(|_| None).collect(),
             free: (0..max).rev().collect(),
-            scratch: PipelineScratch::new(),
+            pool: ShardPool::new(1),
+            workers: vec![Mutex::new(Worker::default())],
             ticks: 0,
             admitted: 0,
             rejected: 0,
@@ -524,134 +475,99 @@ impl ServeEngine {
         }
     }
 
-    /// Serves up to `budget` frames round-robin on the calling thread:
-    /// each round visits the slab in slot order giving every session up
-    /// to `quantum` frames, until the queues are dry or the budget is
-    /// spent. Returns the frames served.
-    ///
-    /// # Errors
-    ///
-    /// The first frame failure aborts the pass (the session's queue
-    /// state stays consistent — the failed frame is consumed). With
-    /// [`ServeConfig::isolate_sessions`] off, a panicking frame
-    /// surfaces as [`ServeError::WorkerPanicked`] instead of unwinding
-    /// through the caller.
-    pub fn serve(&mut self, budget: u64) -> std::result::Result<u64, ServeError> {
-        let Self { slots, config, scratch, .. } = self;
-        Self::serve_shard(slots, config, scratch, budget, 0)
-    }
-
-    /// The round-robin inner loop shared by the serial path and each
-    /// parallel worker: serves `chunk`'s sessions until dry or `budget`
-    /// is spent. A panic escaping a session (isolation off) is caught
-    /// *here*, once per pass, and surfaced as
-    /// [`ServeError::WorkerPanicked`] tagged with `worker`.
-    fn serve_shard(
-        chunk: &mut [Option<Session>],
-        config: &ServeConfig,
-        scratch: &mut PipelineScratch,
-        budget: u64,
-        worker: usize,
-    ) -> std::result::Result<u64, ServeError> {
-        let mut pass = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> std::result::Result<u64, ServeError> {
-                let mut served = 0u64;
-                loop {
-                    let mut progressed = false;
-                    for session in chunk.iter_mut().flatten() {
-                        let mut quantum = config.quantum;
-                        while quantum > 0
-                            && served < budget
-                            && session.serve_one(config, scratch)?
-                        {
-                            served += 1;
-                            quantum -= 1;
-                            progressed = true;
-                        }
-                        if served >= budget {
-                            return Ok(served);
-                        }
-                    }
-                    if !progressed {
-                        return Ok(served);
-                    }
-                }
-            },
-        ));
-        if let Err(payload) = &pass {
-            pass = Ok(Err(ServeError::WorkerPanicked {
-                worker,
-                message: panic_message(payload.as_ref()),
-            }));
-        }
-        pass.expect("panic converted above")
-    }
-
-    /// Drains every queued frame across `workers` threads: the slab is
-    /// split into contiguous slot shards, each served round-robin by one
-    /// worker with its own [`PipelineScratch`] (scratch is frame-local,
-    /// so per-worker reuse is safe in a per-session world). Per-session
-    /// outputs are bit-identical to the serial path at any worker count
-    /// — sessions never share mutable state and levels were stamped at
+    /// Drains every queued frame across `workers` serve workers (the
+    /// calling thread is worker 0; `workers <= 1` runs inline). The slab
+    /// is split into contiguous slot bands, each served round-robin —
+    /// `quantum` frames per session per round — by one worker through
+    /// its own [`PipelineScratch`]. The engine keeps the worker threads
+    /// and their scratch across calls, rebuilding both only when
+    /// `workers` changes, so a warm engine serves without allocating.
+    /// Per-session outputs are bit-identical at any worker count:
+    /// sessions share no mutable state and levels were stamped at
     /// enqueue. Returns the frames served.
     ///
+    /// A panicking frame is quarantined inside its session (see
+    /// [`crate::session`]); a panic outside any session would be a bug,
+    /// and [`ShardPool`] re-raises it here once every worker is idle.
+    ///
     /// # Errors
     ///
-    /// The first frame failure (by worker order) is returned; other
-    /// shards still wind down cleanly. A worker that panics outright —
-    /// possible only with [`ServeConfig::isolate_sessions`] off, since
-    /// the per-session boundary otherwise quarantines the panic first —
-    /// surfaces as [`ServeError::WorkerPanicked`] rather than aborting
-    /// the caller: the join below never unwinds.
-    pub fn serve_parallel(&mut self, workers: usize) -> std::result::Result<u64, ServeError> {
-        let Self { slots, config, .. } = self;
+    /// The first frame failure by worker order. A failure stops its own
+    /// band's pass (the failed frame is consumed); the other bands
+    /// still drain.
+    pub fn serve_parallel(&mut self, workers: usize) -> Result<u64> {
+        let workers = workers.max(1);
+        if self.workers.len() != workers {
+            self.pool = ShardPool::new(workers);
+            self.workers = (0..workers).map(|_| Mutex::new(Worker::default())).collect();
+        }
+        let Self { slots, config, pool, workers, .. } = self;
         let config = &*config;
-        let shard = slots.len().div_ceil(workers.max(1));
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (worker, chunk) in slots.chunks_mut(shard).enumerate() {
-                handles.push(scope.spawn(move || -> std::result::Result<u64, ServeError> {
-                    let mut scratch = PipelineScratch::new();
-                    Self::serve_shard(chunk, config, &mut scratch, u64::MAX, worker)
-                }));
-            }
-            let mut total = 0u64;
-            let mut first_error = None;
-            for (worker, handle) in handles.into_iter().enumerate() {
-                // `serve_shard` converts panics into errors, so a join
-                // failure can only come from a panic outside the serve
-                // loop itself — still turned into a structured error
-                // rather than an abort.
-                let outcome = handle.join().unwrap_or_else(|payload| {
-                    Err(ServeError::WorkerPanicked {
-                        worker,
-                        message: panic_message(payload.as_ref()),
-                    })
-                });
-                match outcome {
-                    Ok(n) => total += n,
-                    Err(e) if first_error.is_none() => first_error = Some(e),
-                    Err(_) => {}
+        let len = slots.len();
+        // A worker's lock is poisoned only by a panic outside every
+        // session's boundary, which `shard_rows` re-raises here. Its
+        // state stays usable: the scratch is frame-local (quarantined
+        // sessions already reuse it after a mid-frame panic), and the
+        // outcome is overwritten by the next pass.
+        shard_rows(Some(&*pool), slots, len, 1, workers.len(), |worker, _, band| {
+            let mut worker = workers[worker].lock().unwrap_or_else(PoisonError::into_inner);
+            let Worker { scratch, outcome } = &mut *worker;
+            *outcome = Self::serve_band(band, config, scratch);
+        });
+        let mut total = 0u64;
+        let mut first_error = None;
+        for worker in workers.iter_mut() {
+            let worker = worker.get_mut().unwrap_or_else(PoisonError::into_inner);
+            match std::mem::replace(&mut worker.outcome, Ok(0)) {
+                Ok(n) => total += n,
+                Err(e) => {
+                    first_error.get_or_insert(e);
                 }
             }
-            first_error.map_or(Ok(total), Err)
-        })
+        }
+        first_error.map_or(Ok(total), Err)
+    }
+
+    /// One worker's round-robin loop: serves `band`'s sessions until
+    /// every queue is dry.
+    fn serve_band(
+        band: &mut [Option<Session>],
+        config: &ServeConfig,
+        scratch: &mut PipelineScratch,
+    ) -> Result<u64> {
+        let mut served = 0u64;
+        loop {
+            let mut progressed = false;
+            for session in band.iter_mut().flatten() {
+                let mut quantum = config.quantum;
+                while quantum > 0 && session.serve_one(config, scratch)? {
+                    served += 1;
+                    quantum -= 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                return Ok(served);
+            }
+        }
     }
 
     /// Runs tick/serve cycles until every admitted session has completed
-    /// and been retired. Returns the frames served.
+    /// and been retired, serving at the engine's current worker count
+    /// (1 until [`ServeEngine::serve_parallel`] is called with another).
+    /// Returns the frames served.
     ///
     /// # Errors
     ///
-    /// As for [`ServeEngine::serve`].
-    pub fn drain(&mut self) -> std::result::Result<u64, ServeError> {
+    /// As for [`ServeEngine::serve_parallel`].
+    pub fn drain(&mut self) -> Result<u64> {
         let mut served = 0u64;
         loop {
             self.tick();
             if self.active == 0 {
                 return Ok(served);
             }
-            served += self.serve(u64::MAX)?;
+            served += self.serve_parallel(self.workers.len())?;
         }
     }
 

@@ -9,10 +9,9 @@
 //!
 //! * [`FaultAction::Panic`] unwinds inside the per-frame critical
 //!   section — the same unwind path a panic in the pool/detect stages
-//!   would take. With [`crate::ServeConfig::isolate_sessions`] on (the
-//!   default) the session is quarantined and restored from its keyframe
-//!   checkpoint; with it off, the panic escapes to the serve worker and
-//!   surfaces as [`crate::ServeError::WorkerPanicked`].
+//!   would take — and the session is quarantined and restored from its
+//!   keyframe checkpoint. The unwind skips the panic hook, so an
+//!   injected fault prints no panic report.
 //! * [`FaultAction::Stall`] adds simulated wall-clock to the frame's
 //!   recorded latency (no real sleep — deterministic and fast), which
 //!   is what the per-frame deadline watchdog reacts to.

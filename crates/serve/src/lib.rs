@@ -9,15 +9,16 @@
 //! * **Session slab** ([`ServeEngine`]): fixed slots, each holding one
 //!   session's [`hirise::temporal::TrackerState`], counters-only
 //!   [`hirise::SequenceSummary`], bounded frame queue, and
-//!   latency reservoir. Workers bring their own
-//!   [`hirise::PipelineScratch`] (frame-local on every path), so the
-//!   steady state serves frames with zero heap allocations — the same
+//!   latency reservoir. The engine keeps one
+//!   [`hirise::PipelineScratch`] per serve worker (frame-local on every
+//!   path) and its worker threads across passes, so the steady state
+//!   serves frames with zero heap allocations on any thread — the same
 //!   contract `tests/alloc.rs` pins for the single-session paths.
 //! * **Scheduler**: tick-driven arrivals into bounded per-session
 //!   queues with backpressure (full queues defer, never drop), drained
-//!   deficit-round-robin — `quantum` frames per session per round — on
-//!   one thread ([`ServeEngine::serve`]) or across slab shards
-//!   ([`ServeEngine::serve_parallel`]).
+//!   deficit-round-robin — `quantum` frames per session per round — by
+//!   [`ServeEngine::serve_parallel`], inline on the caller or across
+//!   slot bands on a persistent [`hirise_sensor::ShardPool`].
 //! * **Admission + graceful degradation** ([`ShedPolicy`]): past the
 //!   hard cap, sessions are refused at the door; past rated load,
 //!   sessions *degrade* instead of dropping — keyframe intervals widen
@@ -27,15 +28,12 @@
 //!   fixed nearest-rank reservoirs ([`LatencyReservoir`]), frame-kind
 //!   counters, shed gauges, and a `dropped` field that is structurally
 //!   zero.
-//! * **Failure isolation** ([`FaultInjector`], [`ServeError`]): each
-//!   session's frame work runs behind a panic boundary (on by default) —
-//!   a panicking session is quarantined and its tracker restored from
-//!   its last keyframe checkpoint
-//!   ([`hirise::temporal::TrackerCheckpoint`]) while the fleet keeps
-//!   serving; worker panics surface as structured
-//!   [`ServeError::WorkerPanicked`] instead of aborting the caller; a
-//!   per-frame deadline watchdog escalates a stalled session one shed
-//!   rung before its queue starts deferring.
+//! * **Failure isolation** ([`FaultInjector`]): each session's frame
+//!   work runs behind a panic boundary — a panicking session is
+//!   quarantined and its tracker restored from its last keyframe
+//!   checkpoint ([`hirise::temporal::TrackerCheckpoint`]) while the
+//!   fleet keeps serving; a per-frame deadline watchdog escalates a
+//!   stalled session one shed rung before its queue starts deferring.
 //! * **Traffic** ([`traffic`]): seeded synthetic session mixes over the
 //!   `hirise_scene` scenario presets — the stress suite and the
 //!   `serve_stages` saturation benchmark share one workload definition.
@@ -43,8 +41,8 @@
 //! Determinism extends the repo-wide contract: shed levels are computed
 //! only at tick time and stamped per frame at enqueue, so each
 //! session's output is a pure function of `(spec, seed, arrival/tick
-//! schedule)` — bit-identical at any worker count or serve
-//! interleaving for a fixed driver schedule.
+//! schedule)` — bit-identical at any worker count for a fixed driver
+//! schedule.
 //!
 //! # Example
 //!
@@ -79,7 +77,7 @@ pub mod session;
 pub mod shed;
 pub mod traffic;
 
-pub use engine::{AdmitError, ServeConfig, ServeEngine, ServeError, ServeSummary, SessionId};
+pub use engine::{AdmitError, ServeConfig, ServeEngine, ServeSummary, SessionId};
 pub use fault::{FaultAction, FaultInjector};
 pub use metrics::{nearest_rank, LatencyReservoir};
 pub use recover::{

@@ -27,9 +27,9 @@
 //!
 //! # Snapshot discipline
 //!
-//! Exact replay leans on the driver discipline every canonical driver
-//! ([`crate::traffic::run_plans`], [`ServeEngine::drain`], and
-//! [`run_plans_journaled`] here) already follows: admissions happen
+//! Exact replay leans on the driver discipline every driver
+//! ([`run_plans_journaled`] here, which [`crate::traffic::run_plans`]
+//! wraps, and [`ServeEngine::drain`]) already follows: admissions happen
 //! before the tick, and each tick is followed by one serve-to-dry pass.
 //! Snapshots are taken at a tick boundary — after the serve pass,
 //! before the next tick's admissions — so every journal record up to
@@ -45,7 +45,7 @@ use hirise::recover::{fnv1a64, Decoder, Encoder};
 use hirise::summary::StreamAggregate;
 use hirise::{HiriseError, RecoverError, SequenceSummary, StageTimings};
 
-use crate::engine::{AdmitError, ServeConfig, ServeEngine, ServeError, SessionId};
+use crate::engine::{AdmitError, ServeConfig, ServeEngine, SessionId};
 use crate::session::{FrameSource, Session, SessionReport, SessionSpec};
 use crate::shed::Priority;
 use crate::traffic::SessionPlan;
@@ -148,8 +148,8 @@ pub enum ReplayError {
         /// The refusal reason.
         reason: String,
     },
-    /// A serve pass failed during replay.
-    Serve(ServeError),
+    /// A frame failed during a serve pass.
+    Serve(HiriseError),
 }
 
 impl std::fmt::Display for ReplayError {
@@ -163,7 +163,7 @@ impl std::fmt::Display for ReplayError {
                 write!(f, "cannot rebuild the frame source of {name:?} (scenario {scenario:?})")
             }
             ReplayError::Admit { reason } => write!(f, "journaled admission refused: {reason}"),
-            ReplayError::Serve(e) => write!(f, "serve failure during replay: {e}"),
+            ReplayError::Serve(e) => write!(f, "serve failure: {e}"),
         }
     }
 }
@@ -187,7 +187,7 @@ impl std::error::Error for ReplayError {
 /// exactly the scope a crash-restart needs — not across releases.
 pub fn config_fingerprint(config: &ServeConfig) -> u64 {
     let text = format!(
-        "{:?}|{:?}|{}|{}|{}|{}|{}|{:?}|{}|{}",
+        "{:?}|{:?}|{}|{}|{}|{}|{}|{:?}|{}",
         config.pipeline,
         config.temporal,
         config.rated_sessions,
@@ -196,7 +196,6 @@ pub fn config_fingerprint(config: &ServeConfig) -> u64 {
         config.quantum,
         config.latency_window,
         config.shed,
-        config.isolate_sessions,
         config.deadline_ms,
     );
     fnv1a64(text.as_bytes())
@@ -638,10 +637,10 @@ impl ServeEngine {
     /// engine: skips past the tick boundaries the engine has already
     /// lived through, then re-performs every remaining record — an
     /// admission per [`JournalRecord::Admit`] (cap refusals replay as
-    /// refusals), a tick plus one serve-to-dry pass per
-    /// [`JournalRecord::Tick`] — exactly the canonical driver
-    /// discipline. Returns the frames served during replay (the
-    /// recovery's MTTR numerator).
+    /// refusals), a tick plus one serve-to-dry pass (at the engine's
+    /// current worker count) per [`JournalRecord::Tick`] — exactly the
+    /// canonical driver discipline. Returns the frames served during
+    /// replay (the recovery's MTTR numerator).
     ///
     /// # Errors
     ///
@@ -681,7 +680,8 @@ impl ServeEngine {
                 }
                 JournalRecord::Tick => {
                     self.tick();
-                    served += self.serve(u64::MAX).map_err(ReplayError::Serve)?;
+                    served +=
+                        self.serve_parallel(self.workers.len()).map_err(ReplayError::Serve)?;
                 }
             }
         }
@@ -703,16 +703,17 @@ pub struct JournaledOutcome {
     pub crashed_at: Option<u64>,
 }
 
-/// [`crate::traffic::run_plans`] with crash consistency bolted on: the
-/// same admissions-then-tick-then-serve-to-dry discipline, plus (1)
+/// The canonical driver: takes an engine through a plan list (sorted
+/// by `at_tick`, as [`crate::traffic::generate`] returns it) with the
+/// admissions-then-tick-then-serve-to-dry discipline, plus (1)
 /// every admission attempt and tick boundary appended to `journal`
 /// (write-ahead: the admit record lands before the engine sees the
 /// session), (2) a snapshot taken every `snapshot_every` ticks (`0`
 /// disables), at the contract's tick-boundary point, and (3) a crash
 /// oracle consulted after each boundary — when it fires, the drive
 /// stops as a simulated process death and reports
-/// [`JournaledOutcome::crashed_at`]. `workers` selects the serial serve
-/// path (`None`) or [`ServeEngine::serve_parallel`].
+/// [`JournaledOutcome::crashed_at`]. Each serve pass runs on `workers`
+/// workers ([`ServeEngine::serve_parallel`]).
 ///
 /// To resume after a crash: restore the last snapshot (or a fresh
 /// engine when `None`), [`ServeEngine::replay_from`] the journal, then
@@ -729,7 +730,7 @@ pub fn run_plans_journaled(
     source_for: SourceFactory<'_>,
     journal: &mut ArrivalJournal,
     snapshot_every: u64,
-    workers: Option<usize>,
+    workers: usize,
     crash_at: &mut dyn FnMut(u64) -> bool,
 ) -> Result<JournaledOutcome, ReplayError> {
     let mut next = 0usize;
@@ -754,11 +755,7 @@ pub fn run_plans_journaled(
         if next == plans.len() && engine.active_sessions() == 0 {
             return Ok(JournaledOutcome { served, snapshot, crashed_at: None });
         }
-        served += match workers {
-            None => engine.serve(u64::MAX),
-            Some(w) => engine.serve_parallel(w),
-        }
-        .map_err(ReplayError::Serve)?;
+        served += engine.serve_parallel(workers).map_err(ReplayError::Serve)?;
         if snapshot_every > 0 && engine.ticks().is_multiple_of(snapshot_every) {
             snapshot = Some(engine.snapshot());
         }

@@ -12,8 +12,8 @@
 //!
 //! Determinism: each queued frame is stamped with its shed level at
 //! enqueue time, so the pipeline configuration a frame is processed
-//! under is fixed the moment it enters the system — scheduling order,
-//! serve budgets, and worker counts can no longer affect the output.
+//! under is fixed the moment it enters the system — scheduling order
+//! and worker counts can no longer affect the output.
 
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,7 +23,7 @@ use hirise::temporal::{TrackerCheckpoint, TrackerState, TrackingPipeline};
 use hirise::{PipelineScratch, Result, RgbImage, SequenceSummary};
 use hirise_scene::ScenarioGenerator;
 
-use crate::engine::{ServeConfig, ServeError, SessionId};
+use crate::engine::{ServeConfig, SessionId};
 use crate::fault::FaultAction;
 use crate::metrics::LatencyReservoir;
 use crate::shed::Priority;
@@ -334,27 +334,24 @@ impl Session {
     /// transitions, a no-op otherwise). Returns `false` when the queue
     /// is empty.
     ///
-    /// With [`ServeConfig::isolate_sessions`] on, the frame's critical
-    /// section (fault injection, frame render, tracker step) runs
-    /// behind a panic boundary: a panic quarantines *this session* —
-    /// the frame is counted consumed (a deterministic fault would
-    /// re-fire forever if retried), the tracker rewinds to its last
-    /// keyframe checkpoint, and the fleet keeps serving. With isolation
-    /// off the panic unwinds to the serve worker, where
-    /// [`crate::ServeEngine`] converts it to
-    /// [`ServeError::WorkerPanicked`].
+    /// The frame's critical section (fault injection, frame render,
+    /// tracker step) runs behind the serve layer's one panic boundary:
+    /// a panic quarantines *this session* — the frame is counted
+    /// consumed (a deterministic fault would re-fire forever if
+    /// retried), the tracker rewinds to its last keyframe checkpoint,
+    /// and the fleet keeps serving.
     pub(crate) fn serve_one(
         &mut self,
         config: &ServeConfig,
         scratch: &mut PipelineScratch,
-    ) -> std::result::Result<bool, ServeError> {
+    ) -> Result<bool> {
         let Some((index, level)) = self.queue.pop() else {
             return Ok(false);
         };
         if level != self.applied_level {
             let (temporal, margin) =
                 config.shed.apply(level, config.temporal, config.pipeline.roi_margin);
-            self.tracker.set_temporal(temporal).map_err(ServeError::Frame)?;
+            self.tracker.set_temporal(temporal)?;
             if self.tracker.pipeline().config().roi_margin != margin {
                 self.tracker.set_roi_margin(margin);
             }
@@ -363,19 +360,14 @@ impl Session {
         let action =
             config.fault.as_deref().map_or(FaultAction::None, |f| f.action(self.id, index));
         let start = Instant::now();
-        let outcome = if config.isolate_sessions {
-            catch_unwind(AssertUnwindSafe(|| self.frame_step(action, index, scratch)))
-        } else {
-            Ok(self.frame_step(action, index, scratch))
-        };
-        let report = match outcome {
-            Err(_payload) => {
-                self.quarantine();
-                return Ok(true);
-            }
-            Ok(Err(e)) => return Err(ServeError::Frame(e)),
-            Ok(Ok(report)) => report,
-        };
+        let report =
+            match catch_unwind(AssertUnwindSafe(|| self.frame_step(action, index, scratch))) {
+                Err(_payload) => {
+                    self.quarantine();
+                    return Ok(true);
+                }
+                Ok(report) => report?,
+            };
         let mut latency_ms = start.elapsed().as_secs_f64() * 1e3;
         if let FaultAction::Stall { stall_ms } = action {
             latency_ms += stall_ms;
@@ -405,9 +397,10 @@ impl Session {
     }
 
     /// The per-frame critical section: everything that runs behind the
-    /// isolation boundary. An injected [`FaultAction::Panic`] fires
-    /// here, on the same unwind path a panic inside the pool/detect
-    /// stages would take.
+    /// isolation boundary. An injected [`FaultAction::Panic`] unwinds
+    /// from here, on the same path a panic inside the pool/detect stages
+    /// would take. It uses `resume_unwind`, which skips the panic hook:
+    /// an expected fault prints no panic report.
     fn frame_step(
         &mut self,
         action: FaultAction,
@@ -415,7 +408,10 @@ impl Session {
         scratch: &mut PipelineScratch,
     ) -> Result<hirise::TemporalFrameReport> {
         if action == FaultAction::Panic {
-            panic!("injected fault: session {} frame {index}", self.id);
+            std::panic::resume_unwind(Box::new(format!(
+                "injected fault: session {} frame {index}",
+                self.id
+            )));
         }
         let frame = self.source.frame(index);
         self.tracker.run_frame(frame.as_ref(), &mut self.state, scratch)
@@ -625,6 +621,6 @@ pub struct SessionReport {
     /// Frame-kind counters, aggregates, and the frame-ordered energy
     /// fold. A pure function of `(spec, arrival schedule, shed level
     /// trajectory)` — the determinism tests compare it bit-for-bit
-    /// across worker counts and serve interleavings.
+    /// across worker counts.
     pub summary: SequenceSummary,
 }

@@ -8,10 +8,10 @@
 //! from one `splitmix64` stream, so a seed is a complete description of
 //! the workload.
 
-use hirise::HiriseError;
 use hirise_scene::{ScenarioGenerator, ScenarioSpec};
 
-use crate::engine::{AdmitError, ServeEngine, ServeError};
+use crate::engine::ServeEngine;
+use crate::recover::{run_plans_journaled, ArrivalJournal, ReplayError};
 use crate::session::{FrameSource, SessionSpec};
 use crate::shed::Priority;
 
@@ -136,46 +136,27 @@ pub fn source_for(spec: &SessionSpec, width: u32, height: u32) -> Option<FrameSo
 }
 
 /// Drives an engine through a plan list (sorted by `at_tick`, as
-/// [`generate`] returns it) to completion: admissions on schedule, one
-/// serve-to-dry pass per tick. Cap refusals are counted by the engine
-/// ([`ServeEngine::rejected`]), not treated as failures. Returns the
-/// frames served.
+/// [`generate`] returns it) to completion on one serve worker, with
+/// scenario sources from [`source_for`]: [`run_plans_journaled`] with a
+/// throwaway journal, no snapshots and no crash. Cap refusals are
+/// counted by the engine ([`ServeEngine::rejected`]), not treated as
+/// failures. Returns the frames served.
 ///
 /// # Errors
 ///
-/// [`HiriseError::InvalidConfig`] (as [`ServeError::Frame`]) for an
-/// unknown scenario name or a degenerate spec; frame failures as for
-/// [`ServeEngine::serve`].
+/// As for [`run_plans_journaled`]: [`ReplayError::Source`] for an
+/// unknown scenario name, [`ReplayError::Admit`] for a degenerate spec,
+/// [`ReplayError::Serve`] for a frame failure.
 pub fn run_plans(
     engine: &mut ServeEngine,
     plans: &[SessionPlan],
-) -> std::result::Result<u64, ServeError> {
+) -> std::result::Result<u64, ReplayError> {
     let (width, height) =
         (engine.config().pipeline.array_width, engine.config().pipeline.array_height);
-    let mut next = 0;
-    let mut served = 0u64;
-    loop {
-        while next < plans.len() && plans[next].at_tick <= engine.ticks() {
-            let plan = &plans[next];
-            let source = source_for(&plan.spec, width, height).ok_or_else(|| {
-                HiriseError::InvalidConfig {
-                    reason: format!("unknown scenario {:?}", plan.spec.scenario),
-                }
-            })?;
-            match engine.admit(plan.spec.clone(), source) {
-                Ok(_) | Err(AdmitError::Full { .. }) => {}
-                Err(AdmitError::Invalid { reason }) => {
-                    return Err(HiriseError::InvalidConfig { reason }.into());
-                }
-            }
-            next += 1;
-        }
-        engine.tick();
-        if next == plans.len() && engine.active_sessions() == 0 {
-            return Ok(served);
-        }
-        served += engine.serve(u64::MAX)?;
-    }
+    let factory = |spec: &SessionSpec| source_for(spec, width, height);
+    let mut journal = ArrivalJournal::new();
+    run_plans_journaled(engine, plans, &factory, &mut journal, 0, 1, &mut |_| false)
+        .map(|outcome| outcome.served)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Chaos tests for the serve engine: session-level failure isolation,
-//! checkpoint recovery, structured worker-panic surfacing, the deadline
-//! watchdog, and slot-recycling hygiene.
+//! checkpoint recovery, the deadline watchdog, and slot-recycling
+//! hygiene.
 //!
 //! The injectors here are deliberately tiny hand-rolled
 //! [`FaultInjector`]s pinned to exact `(session, frame)` coordinates —
@@ -12,8 +12,8 @@ use std::sync::Arc;
 use hirise::{HiriseConfig, SensorConfig, TemporalConfig};
 use hirise_imaging::{draw, Rect, RgbImage};
 use hirise_serve::{
-    FaultAction, FaultInjector, FrameSource, Priority, ServeConfig, ServeEngine, ServeError,
-    ServeSummary, SessionId, SessionSpec,
+    FaultAction, FaultInjector, FrameSource, Priority, ServeConfig, ServeEngine, ServeSummary,
+    SessionId, SessionSpec,
 };
 
 const W: u32 = 64;
@@ -92,13 +92,8 @@ impl FaultInjector for StallOne {
 }
 
 /// Admits `count` clip-backed sessions and drives the engine to
-/// completion with the given worker count (`None` = serial path).
-fn run_fleet(
-    config: ServeConfig,
-    count: usize,
-    frames: u32,
-    workers: Option<usize>,
-) -> ServeSummary {
+/// completion with the given worker count.
+fn run_fleet(config: ServeConfig, count: usize, frames: u32, workers: usize) -> ServeSummary {
     let mut engine = ServeEngine::new(config).unwrap();
     for i in 0..count {
         let spec = SessionSpec::default()
@@ -113,10 +108,7 @@ fn run_fleet(
         if engine.active_sessions() == 0 {
             return engine.summary();
         }
-        match workers {
-            None => engine.serve(u64::MAX).unwrap(),
-            Some(w) => engine.serve_parallel(w).unwrap(),
-        };
+        engine.serve_parallel(workers).unwrap();
     }
 }
 
@@ -133,11 +125,11 @@ fn quarantined_session_recovers_and_the_fleet_is_unperturbed() {
     let faulted = FAULTED as usize;
     let fault: Arc<dyn FaultInjector> = Arc::new(PanicAt { session: FAULTED, frame: 6 });
 
-    let clean = run_fleet(serve_config(SESSIONS), SESSIONS, FRAMES, None);
+    let clean = run_fleet(serve_config(SESSIONS), SESSIONS, FRAMES, 1);
     assert_eq!(clean.quarantined, 0);
     assert_eq!(clean.max_shed_level, 0, "the scenario must be fault-only, not overloaded");
 
-    let chaos = run_fleet(serve_config(SESSIONS).fault(Arc::clone(&fault)), SESSIONS, FRAMES, None);
+    let chaos = run_fleet(serve_config(SESSIONS).fault(Arc::clone(&fault)), SESSIONS, FRAMES, 1);
     // Nothing dropped, every session completed — including the faulted
     // one, whose panicked frame is consumed rather than retried.
     assert_eq!(chaos.dropped, 0);
@@ -174,12 +166,8 @@ fn quarantined_session_recovers_and_the_fleet_is_unperturbed() {
     // And the whole chaos run — quarantine decision, recovery span,
     // per-session outputs — is invariant to the worker count.
     for workers in [1, 2, 4] {
-        let parallel = run_fleet(
-            serve_config(SESSIONS).fault(Arc::clone(&fault)),
-            SESSIONS,
-            FRAMES,
-            Some(workers),
-        );
+        let parallel =
+            run_fleet(serve_config(SESSIONS).fault(Arc::clone(&fault)), SESSIONS, FRAMES, workers);
         assert_eq!(parallel.quarantined, 1, "{workers} workers");
         assert_eq!(parallel.recovered, 1);
         assert_eq!(parallel.max_recovery_frames, chaos.max_recovery_frames);
@@ -200,44 +188,13 @@ fn frame_zero_fault_cold_starts_and_still_recovers() {
     // tracker reset and recovers at the very next frame (frame index 0
     // is always a keyframe).
     let fault: Arc<dyn FaultInjector> = Arc::new(PanicAt { session: 0, frame: 0 });
-    let summary = run_fleet(serve_config(4).fault(fault), 1, 8, None);
+    let summary = run_fleet(serve_config(4).fault(fault), 1, 8, 1);
     assert_eq!(summary.dropped, 0);
     assert_eq!(summary.completed, 1);
     assert_eq!(summary.quarantined, 1);
     assert_eq!(summary.recovered, 1);
     assert_eq!(summary.max_recovery_frames, 1, "cold start recovers at the next keyframe");
     assert_eq!(summary.frames, 7, "the poisoned frame is consumed, not folded");
-}
-
-#[test]
-fn disabled_isolation_surfaces_a_structured_worker_panic() {
-    // The engine.rs regression: a worker panic must surface as
-    // `ServeError::WorkerPanicked`, never abort the caller through a
-    // poisoned join. Serial and parallel paths both.
-    let fault: Arc<dyn FaultInjector> = Arc::new(PanicAt { session: 1, frame: 2 });
-    for workers in [None, Some(2), Some(4)] {
-        let config = serve_config(4).fault(Arc::clone(&fault)).isolate_sessions(false);
-        let mut engine = ServeEngine::new(config).unwrap();
-        for i in 0..4 {
-            let spec = SessionSpec::default().name(format!("s{i}")).frames(8).frames_per_tick(2);
-            engine.admit(spec, FrameSource::Frames(clip(8, i))).unwrap();
-        }
-        let error = loop {
-            engine.tick();
-            let outcome = match workers {
-                None => engine.serve(u64::MAX),
-                Some(w) => engine.serve_parallel(w),
-            };
-            if let Err(e) = outcome {
-                break e;
-            }
-        };
-        let ServeError::WorkerPanicked { message, .. } = &error else {
-            panic!("expected WorkerPanicked, got {error:?}");
-        };
-        assert!(message.contains("injected fault"), "panic payload lost in transit: {message:?}");
-        assert!(error.to_string().contains("panicked"));
-    }
 }
 
 #[test]
@@ -249,7 +206,7 @@ fn watchdog_escalates_a_stalled_session_before_it_defers() {
     const FRAMES: u32 = 12;
     let fault: Arc<dyn FaultInjector> = Arc::new(StallOne { session: 0, stall_ms: 10_000.0 });
     let config = serve_config(8).fault(fault).deadline_ms(250.0);
-    let summary = run_fleet(config, 2, FRAMES, None);
+    let summary = run_fleet(config, 2, FRAMES, 1);
     assert_eq!(summary.dropped, 0);
     assert_eq!(summary.completed, 2);
     // The fleet gauge reports the deepest rung any frame was stamped

@@ -1,7 +1,7 @@
 //! Crash-recovery acceptance for the serve layer: a process death at
 //! *any* tick, recovered from the last snapshot plus the arrival
 //! journal, must leave every session bit-identical to an uninterrupted
-//! run — serially and at every worker count.
+//! run — at every worker count.
 //!
 //! The suite also pins the safety half of the contract: corrupted
 //! snapshots are rejected whole (never half-restored), config drift is
@@ -95,7 +95,7 @@ fn uninterrupted(config: ServeConfig, plans: &[SessionPlan]) -> (ServeSummary, A
     let mut engine = ServeEngine::new(config).unwrap();
     let mut journal = ArrivalJournal::new();
     let outcome =
-        run_plans_journaled(&mut engine, plans, &factory, &mut journal, 0, None, &mut |_| false)
+        run_plans_journaled(&mut engine, plans, &factory, &mut journal, 0, 1, &mut |_| false)
             .unwrap();
     assert!(outcome.crashed_at.is_none());
     (engine.summary(), journal)
@@ -110,7 +110,7 @@ fn crash_and_recover(
     plans: &[SessionPlan],
     snapshot_every: u64,
     crash_tick: u64,
-    workers: Option<usize>,
+    workers: usize,
 ) -> (ServeSummary, ArrivalJournal) {
     let mut engine = ServeEngine::new(config_for()).unwrap();
     let mut journal = ArrivalJournal::new();
@@ -174,7 +174,7 @@ fn crash_at_any_tick_recovers_bit_identically() {
     assert!(total_ticks > 6, "workload too short to sweep: {total_ticks} ticks");
 
     for crash_tick in 1..total_ticks {
-        let (summary, journal) = crash_and_recover(&config_for, &plans, 3, crash_tick, None);
+        let (summary, journal) = crash_and_recover(&config_for, &plans, 3, crash_tick, 1);
         assert_fleet_identical(&baseline, &summary, &format!("crash at tick {crash_tick}"));
         assert_eq!(
             journal, baseline_journal,
@@ -194,7 +194,7 @@ fn recovery_is_worker_count_invariant() {
     let crash_ticks = [2, 3, baseline.ticks / 2, baseline.ticks - 2];
     for workers in [1usize, 2, 4] {
         for &crash_tick in &crash_ticks {
-            let (summary, _) = crash_and_recover(&config_for, &plans, 4, crash_tick, Some(workers));
+            let (summary, _) = crash_and_recover(&config_for, &plans, 4, crash_tick, workers);
             assert_fleet_identical(
                 &baseline,
                 &summary,
@@ -212,7 +212,7 @@ fn cold_start_replay_recovers_without_any_snapshot() {
     let plans = hirise_serve::generate(&TrafficConfig::default().sessions(6));
     let config_for = || serve_config(3);
     let (baseline, _) = uninterrupted(config_for(), &plans);
-    let (summary, _) = crash_and_recover(&config_for, &plans, 0, baseline.ticks / 2, None);
+    let (summary, _) = crash_and_recover(&config_for, &plans, 0, baseline.ticks / 2, 1);
     assert_fleet_identical(&baseline, &summary, "cold-start replay");
 }
 
@@ -242,7 +242,7 @@ proptest! {
             &factory,
             &mut journal,
             1,
-            None,
+            1,
             &mut |tick| tick >= stop_tick,
         )
         .unwrap();
@@ -301,7 +301,7 @@ fn corrupted_snapshots_are_rejected_never_half_restored() {
     let plans = hirise_serve::generate(&TrafficConfig::default().sessions(4));
     let mut engine = ServeEngine::new(serve_config(2)).unwrap();
     let mut journal = ArrivalJournal::new();
-    run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 0, None, &mut |t| t >= 3)
+    run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 0, 1, &mut |t| t >= 3)
         .unwrap();
     let snapshot = engine.snapshot();
     let bytes = snapshot.as_bytes().to_vec();
@@ -338,7 +338,7 @@ fn restore_refuses_a_config_fingerprint_mismatch() {
     let plans = hirise_serve::generate(&TrafficConfig::default().sessions(4));
     let mut engine = ServeEngine::new(serve_config(2)).unwrap();
     let mut journal = ArrivalJournal::new();
-    run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 0, None, &mut |t| t >= 3)
+    run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 0, 1, &mut |t| t >= 3)
         .unwrap();
     let snapshot = engine.snapshot();
     let drifted = serve_config(2).quantum(3);
@@ -355,7 +355,7 @@ fn replay_refuses_a_journal_shorter_than_the_engine() {
     let plans = hirise_serve::generate(&TrafficConfig::default().sessions(4));
     let mut engine = ServeEngine::new(serve_config(2)).unwrap();
     let mut journal = ArrivalJournal::new();
-    run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 2, None, &mut |t| t >= 4)
+    run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 2, 1, &mut |t| t >= 4)
         .unwrap();
     let snapshot = engine.snapshot();
     let mut restored = ServeEngine::restore(&snapshot, serve_config(2), &factory).unwrap();
@@ -374,8 +374,7 @@ fn journal_round_trips_and_counts_its_records() {
     let plans = hirise_serve::generate(&TrafficConfig::default().sessions(5));
     let mut engine = ServeEngine::new(serve_config(2)).unwrap();
     let mut journal = ArrivalJournal::new();
-    run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 0, None, &mut |_| false)
-        .unwrap();
+    run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 0, 1, &mut |_| false).unwrap();
     assert_eq!(journal.admissions(), plans.len(), "every admission attempt journaled");
     assert_eq!(journal.ticks(), engine.ticks(), "every tick boundary journaled");
     let reread = ArrivalJournal::from_bytes(&journal.to_bytes()).unwrap();
@@ -452,7 +451,7 @@ fn crash_during_a_quarantine_recovery_window_still_converges() {
     for (snapshot_every, crash_tick) in [(3u64, 4u64), (4, 5), (2, 4)] {
         let label = format!("snapshot every {snapshot_every}, crash at {crash_tick}");
         let (summary, _) =
-            crash_and_recover(&faulted_config, &plans, snapshot_every, crash_tick, None);
+            crash_and_recover(&faulted_config, &plans, snapshot_every, crash_tick, 1);
         assert_fleet_identical(&chaos, &summary, &label);
     }
 }
@@ -468,16 +467,11 @@ fn identical_runs_snapshot_to_identical_bytes() {
     let snapshot_at = |crash_tick: Option<u64>| {
         let mut engine = ServeEngine::new(serve_config(4)).unwrap();
         let mut journal = ArrivalJournal::new();
-        let outcome = run_plans_journaled(
-            &mut engine,
-            &plans,
-            &factory,
-            &mut journal,
-            1,
-            None,
-            &mut |tick| Some(tick) == crash_tick,
-        )
-        .unwrap();
+        let outcome =
+            run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 1, 1, &mut |tick| {
+                Some(tick) == crash_tick
+            })
+            .unwrap();
         assert_eq!(outcome.crashed_at, crash_tick);
         match crash_tick {
             Some(_) => outcome.snapshot.expect("a snapshot every tick").into_bytes(),

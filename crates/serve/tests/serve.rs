@@ -1,6 +1,6 @@
 //! Integration tests for the serve engine: the overload contract
 //! (degrade, never drop), backpressure, admission, and the
-//! interleaving-invariance extension of the determinism contract.
+//! worker-count-invariance extension of the determinism contract.
 
 use hirise::{HiriseConfig, SensorConfig, TemporalConfig};
 use hirise_imaging::{draw, Rect, RgbImage};
@@ -182,7 +182,7 @@ fn admission_cap_refuses_at_the_door() {
 /// driver and returns the per-session summaries in admission order.
 fn run_fleet_with(
     sensor: SensorConfig,
-    drive: impl Fn(&mut ServeEngine) -> Result<u64, hirise_serve::ServeError>,
+    drive: impl Fn(&mut ServeEngine) -> hirise::Result<u64>,
 ) -> hirise_serve::ServeSummary {
     let mut config = serve_config(4);
     config.pipeline = pipeline_config(sensor);
@@ -201,19 +201,19 @@ fn run_fleet_with(
 fn per_session_outputs_are_invariant_to_worker_count() {
     // The determinism contract, extended to the serve layer: for a
     // fixed tick schedule (serve-to-dry each tick), the per-session
-    // outputs are bit-identical whether the slab is drained serially or
-    // by any number of shard workers. Shed levels were stamped at
+    // outputs are bit-identical whether the slab is drained inline by
+    // one worker or by any number of shard workers. Shed levels were stamped at
     // enqueue, sessions share no mutable state, and the sensor noise is
     // position-keyed — nothing observes the scheduling. The noisy
     // keyed sensor is checked at two capture shard counts, all against
-    // the unsharded serial run.
+    // the unsharded one-worker run.
     let noisy = SensorConfig::default(); // keyed noise is the default
     let inputs = [
         ("noiseless", vec![SensorConfig::noiseless()]),
         ("noisy keyed", vec![noisy, SensorConfig { shards: 2, ..noisy }]),
     ];
     for (input, sensors) in &inputs {
-        let serial = run_fleet_with(sensors[0], |e| e.serve(u64::MAX));
+        let serial = run_fleet_with(sensors[0], |e| e.serve_parallel(1));
         assert_eq!(serial.max_shed_level, 3, "fleet must be overloaded for the test to bite");
         assert!(serial.sessions.iter().all(|s| s.summary.aggregate.rois > 0), "{input}: no ROIs");
         for &sensor in sensors {
@@ -235,36 +235,6 @@ fn per_session_outputs_are_invariant_to_worker_count() {
                 assert_eq!(parallel.energy_mj, serial.energy_mj);
             }
         }
-    }
-}
-
-#[test]
-fn per_session_outputs_are_invariant_to_serve_chunking_below_rated_load() {
-    // Below rated load the shed trajectory is identically zero, so even
-    // the serve *budget* chunking (how many frames each serve call
-    // processes before yielding) cannot affect any session's output —
-    // frames just wait longer in their queues.
-    let run = |budget: u64| {
-        let mut engine = ServeEngine::new(serve_config(16)).unwrap();
-        admit_fleet(&mut engine, 4, 10);
-        loop {
-            engine.tick();
-            if engine.active_sessions() == 0 {
-                return engine.summary();
-            }
-            let mut guard = 0;
-            while engine.serve(budget).unwrap() == budget {
-                guard += 1;
-                assert!(guard < 10_000, "serve loop runaway");
-            }
-        }
-    };
-    let fine = run(1);
-    let coarse = run(u64::MAX);
-    assert_eq!(fine.max_shed_level, 0);
-    assert_eq!(fine.sessions.len(), coarse.sessions.len());
-    for (a, b) in fine.sessions.iter().zip(&coarse.sessions) {
-        assert_eq!(a.summary, b.summary, "session {} diverged under budget chunking", b.name);
     }
 }
 

@@ -5,35 +5,41 @@
 //! [`HirisePipeline::run_with_scratch`] performs **zero heap allocations
 //! per frame**, while the legacy allocating path (`run`) pays thousands.
 //!
-//! The counter is thread-local so the libtest harness (which runs each
-//! `#[test]` on its own thread, possibly several in parallel) cannot
-//! perturb a measurement from another thread.
+//! The counter is process-wide, so allocations on shard-pool and serve
+//! worker threads count as well as the caller's. Every test holds
+//! [`SERIAL`] for its whole body, so the libtest harness (which runs
+//! tests on parallel threads) cannot perturb another test's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hirise::{HiriseConfig, HirisePipeline, PipelineScratch, SensorConfig};
 use hirise_imaging::{draw, Rect, RgbImage};
 
-/// Counts this thread's allocation events (`alloc`, `alloc_zeroed`, and
+/// Counts the process's allocation events (`alloc`, `alloc_zeroed`, and
 /// every `realloc` — growing or shrinking — count; `dealloc` does not)
 /// and forwards to the system allocator.
 struct CountingAllocator;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by every test for its whole body: one measurement at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the next test still measures.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn bump() {
-    // `try_with` so allocations during thread teardown (after TLS
-    // destruction) never panic inside the allocator.
-    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
 // SAFETY: a pure pass-through to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a thread-local counter
-// bump, and `bump()` itself never allocates (Cell arithmetic only), so
-// there is no reentrancy into the allocator.
+// `GlobalAlloc` contract; the only addition is an atomic counter bump,
+// and `bump()` itself never allocates, so there is no reentrancy into
+// the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract; forwarded
     // verbatim to `System`.
@@ -64,11 +70,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Allocation events on the current thread during `f`.
+/// Allocation events on any thread of the process during `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
     f();
-    ALLOCATIONS.with(Cell::get) - before
+    ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
 /// A busy scene: several textured objects so the frame exercises the
@@ -100,6 +106,7 @@ fn pipeline() -> HirisePipeline {
 
 #[test]
 fn scratch_path_is_allocation_free_after_warmup() {
+    let _serial = serial();
     let pipeline = pipeline();
     let frames: Vec<RgbImage> = (0..8).map(|i| scene(192, 144, i)).collect();
     let mut scratch = PipelineScratch::new();
@@ -131,6 +138,7 @@ fn scratch_path_is_allocation_free_after_warmup() {
 
 #[test]
 fn keyed_row_sharded_path_is_allocation_free_after_warmup() {
+    let _serial = serial();
     // The row-sharded keyed frame path must preserve the zero-allocation
     // contract: the shard workers are spawned once (during warm-up, when
     // the scratch sensor is first built) and every later dispatch hands
@@ -161,6 +169,7 @@ fn keyed_row_sharded_path_is_allocation_free_after_warmup() {
 
 #[test]
 fn tracked_non_keyframes_are_allocation_free_after_warmup() {
+    let _serial = serial();
     // The temporal pipeline's whole point is that non-keyframes are
     // cheap: capture + predicted-ROI readout only. That steady state
     // must also uphold the zero-allocation contract — tracks, candidate
@@ -214,6 +223,7 @@ fn tracked_non_keyframes_are_allocation_free_after_warmup() {
 
 #[test]
 fn tracked_frames_stay_allocation_free_on_a_defect_heavy_scenario() {
+    let _serial = serial();
     // The defect-heavy fleet scenario (hot pixels stuck bright + per-row
     // keyed noise) is the adversarial input for the tracked path: extra
     // high-contrast features and row-correlated noise must not push any
@@ -262,6 +272,7 @@ fn tracked_frames_stay_allocation_free_on_a_defect_heavy_scenario() {
 
 #[test]
 fn legacy_path_allocation_count_is_documented() {
+    let _serial = serial();
     let pipeline = pipeline();
     let frame = scene(192, 144, 0);
     // One throwaway run so lazy one-time setup doesn't skew the count.
@@ -283,6 +294,7 @@ fn legacy_path_allocation_count_is_documented() {
 
 #[test]
 fn detector_scratch_alone_is_allocation_free() {
+    let _serial = serial();
     use hirise_detect::{Detector, DetectorScratch};
     use hirise_imaging::{color, Image};
 
@@ -305,13 +317,16 @@ fn detector_scratch_alone_is_allocation_free() {
 
 #[test]
 fn serve_engine_steady_state_is_allocation_free_per_tick() {
+    let _serial = serial();
     // The serve layer's tentpole memory claim: a warmed engine serving
     // clip-backed sessions at constant shed level runs whole tick
     // cycles — retire scan, load/shed computation, arrivals into the
     // bounded queues, and round-robin frame serving — without touching
-    // the heap. Frames are borrowed from the clips (Cow::Borrowed), the
-    // queues and latency reservoirs are preallocated rings, and the
-    // engine reuses one PipelineScratch across all sessions.
+    // the heap on any thread. Frames are borrowed from the clips
+    // (Cow::Borrowed), the queues and latency reservoirs are
+    // preallocated rings, and the engine keeps its worker threads and
+    // one PipelineScratch per worker across ticks. Two workers split
+    // the two-slot slab one session each, so the pool worker serves too.
     use hirise::TemporalConfig;
     use hirise_serve::{FrameSource, ServeConfig, ServeEngine, SessionSpec};
 
@@ -324,43 +339,50 @@ fn serve_engine_steady_state_is_allocation_free_per_tick() {
         .roi_margin(2)
         .build()
         .unwrap();
-    // Drift disabled and the fleet far below rated load: every measured
-    // tick serves at shed level 0, so no mid-measurement policy swap
-    // rebuilds a pipeline.
-    let config = ServeConfig::new(pipeline)
-        .temporal(TemporalConfig::default().keyframe_interval(4).drift_threshold(1.0))
-        .rated_sessions(16)
-        .max_sessions(16);
-    let mut engine = ServeEngine::new(config).unwrap();
-    for s in 0..2u32 {
-        // Sessions far longer than the test: nothing retires (retiring
-        // legitimately allocates its report) and the clip cycles.
-        let spec = SessionSpec::default().name(format!("alloc{s}")).frames(10_000);
-        let frames: Vec<RgbImage> = (0..8).map(|i| scene(96, 72, 4 * s + i)).collect();
-        engine.admit(spec, FrameSource::Frames(frames)).unwrap();
-    }
-
-    // Warm-up: two full clip cycles per session grow every buffer (ROI
-    // crop pool pairings included) to its high-water capacity.
-    for _ in 0..16 {
-        engine.tick();
-        engine.serve(u64::MAX).unwrap();
-    }
-
-    // One frame per session per tick from tick 16 on: the served frame
-    // index equals the tick index, so ticks not on the keyframe cadence
-    // serve tracked frames only.
-    for tick in 16u64..28 {
-        let count = allocations_during(|| {
-            engine.tick();
-            engine.serve(u64::MAX).unwrap();
-        });
-        if tick % 4 != 0 {
-            assert_eq!(count, 0, "tick {tick}: tracked-frame serve cycle allocated {count} times");
+    for workers in [1usize, 2] {
+        // Drift disabled and the fleet at (not past) rated load: every
+        // measured tick serves at shed level 0, so no mid-measurement
+        // policy swap rebuilds a pipeline.
+        let config = ServeConfig::new(pipeline.clone())
+            .temporal(TemporalConfig::default().keyframe_interval(4).drift_threshold(1.0))
+            .rated_sessions(2)
+            .max_sessions(2);
+        let mut engine = ServeEngine::new(config).unwrap();
+        for s in 0..2u32 {
+            // Sessions far longer than the test: nothing retires
+            // (retiring legitimately allocates its report) and the clip
+            // cycles.
+            let spec = SessionSpec::default().name(format!("alloc{s}")).frames(10_000);
+            let frames: Vec<RgbImage> = (0..8).map(|i| scene(96, 72, 4 * s + i)).collect();
+            engine.admit(spec, FrameSource::Frames(frames)).unwrap();
         }
+
+        // Warm-up: two full clip cycles per session grow every buffer
+        // (ROI crop pool pairings included) to its high-water capacity;
+        // the first pass also starts the worker pool.
+        for _ in 0..16 {
+            engine.tick();
+            engine.serve_parallel(workers).unwrap();
+        }
+
+        // One frame per session per tick from tick 16 on: the served
+        // frame index equals the tick index, so ticks not on the
+        // keyframe cadence serve tracked frames only.
+        for tick in 16u64..28 {
+            let count = allocations_during(|| {
+                engine.tick();
+                engine.serve_parallel(workers).unwrap();
+            });
+            if tick % 4 != 0 {
+                assert_eq!(
+                    count, 0,
+                    "{workers} workers, tick {tick}: tracked-frame serve cycle allocated {count} times"
+                );
+            }
+        }
+        let summary = engine.summary();
+        assert_eq!(summary.frames, 2 * 28, "both sessions should have served one frame per tick");
+        assert_eq!(summary.dropped, 0);
+        assert_eq!(summary.max_shed_level, 0, "a fleet at rated load must not shed");
     }
-    let summary = engine.summary();
-    assert_eq!(summary.frames, 2 * 28, "both sessions should have served one frame per tick");
-    assert_eq!(summary.dropped, 0);
-    assert_eq!(summary.max_shed_level, 0, "an unloaded fleet must not shed");
 }
