@@ -284,6 +284,21 @@ mod tests {
             assert!(matches!(err, HiriseError::InvalidConfig { .. }), "{name}: {err}");
             assert!(err.to_string().contains("sensor"), "{name}: {err}");
         }
+        // Non-finite ADC parameters: each names the offending field.
+        let mut infinite_swing = SensorConfig::default().pixel;
+        infinite_swing.v_sat = f64::INFINITY;
+        for (parameter, sensor) in [
+            ("adc_inl_lsb", SensorConfig { adc_inl_lsb: f64::NAN, ..Default::default() }),
+            ("adc_inl_lsb", SensorConfig { adc_inl_lsb: f64::INFINITY, ..Default::default() }),
+            ("adc_noise", SensorConfig { adc_noise: -1e-3, ..Default::default() }),
+            ("adc_noise", SensorConfig { adc_noise: f64::NAN, ..Default::default() }),
+            ("adc_noise", SensorConfig { adc_noise: f64::INFINITY, ..Default::default() }),
+            ("adc v_hi", SensorConfig { pixel: infinite_swing, ..Default::default() }),
+        ] {
+            let err = build(sensor).unwrap_err();
+            assert!(matches!(err, HiriseError::InvalidConfig { .. }), "{parameter}: {err}");
+            assert!(err.to_string().contains(parameter), "{parameter}: {err}");
+        }
         assert!(build(SensorConfig::noiseless()).is_ok());
     }
 

@@ -5,8 +5,19 @@
 //! integral nonlinearity, and additive conversion noise. The *energy* per
 //! conversion is deliberately not modelled here — `hirise-energy` owns all
 //! cost accounting; this type only produces codes.
+//!
+//! Conversions run through a comparator ladder (see [`Ladder`]): the
+//! code's thresholds are tabulated once per ADC, so a sample costs an
+//! index guess and a few compares instead of the quantiser's division,
+//! `sin` and `round`, with every code bit-identical to the quantiser.
+
+use std::f64::consts::PI;
 
 use crate::{Result, SensorError};
+
+/// Widest ADC that gets a comparator ladder: a 10-bit table is 1025
+/// `f64`s (8 KiB). Wider converters take the exact quantiser.
+pub const LADDER_MAX_BITS: u32 = 10;
 
 /// A uniform-quantising ADC with optional INL bow and input-referred noise.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,6 +27,9 @@ pub struct Adc {
     v_hi: f64,
     inl_lsb: f64,
     noise_sigma: f64,
+    /// Built from `bits`, the range and `inl_lsb` whenever one of them
+    /// is set, so it always matches the quantiser.
+    ladder: Option<Ladder>,
 }
 
 impl Adc {
@@ -23,15 +37,35 @@ impl Adc {
     ///
     /// # Errors
     ///
-    /// Rejects zero/oversized bit widths and empty ranges.
+    /// Rejects zero/oversized bit widths, non-finite range ends and
+    /// empty or overflowing ranges.
     pub fn new(bits: u32, v_lo: f64, v_hi: f64) -> Result<Self> {
+        Self::check(bits, v_lo, v_hi)?;
+        Ok(Self::build(bits, v_lo, v_hi, 0.0, 0.0))
+    }
+
+    /// The checks of [`Adc::new`], without building the ladder.
+    pub(crate) fn check(bits: u32, v_lo: f64, v_hi: f64) -> Result<()> {
         if bits == 0 || bits > 16 {
             return Err(SensorError::InvalidConfig { parameter: "adc bits", value: bits as f64 });
         }
-        if !(v_hi > v_lo) {
+        if !v_lo.is_finite() {
+            return Err(SensorError::InvalidConfig { parameter: "adc v_lo", value: v_lo });
+        }
+        if !v_hi.is_finite() {
+            return Err(SensorError::InvalidConfig { parameter: "adc v_hi", value: v_hi });
+        }
+        if !(v_hi > v_lo) || !(v_hi - v_lo).is_finite() {
             return Err(SensorError::InvalidConfig { parameter: "adc range", value: v_hi - v_lo });
         }
-        Ok(Self { bits, v_lo, v_hi, inl_lsb: 0.0, noise_sigma: 0.0 })
+        Ok(())
+    }
+
+    /// A checked configuration with its ladder.
+    pub(crate) fn build(bits: u32, v_lo: f64, v_hi: f64, inl_lsb: f64, noise_sigma: f64) -> Self {
+        let mut adc = Self { bits, v_lo, v_hi, inl_lsb, noise_sigma, ladder: None };
+        adc.ladder = Ladder::build(&adc);
+        adc
     }
 
     /// The paper's configuration: 8-bit conversion of the pixel voltage
@@ -40,10 +74,10 @@ impl Adc {
         Self::new(8, 0.3, 0.9).expect("static configuration is valid")
     }
 
-    /// Adds a bow-shaped integral nonlinearity with peak `inl_lsb` LSBs.
-    pub fn with_inl(mut self, inl_lsb: f64) -> Self {
-        self.inl_lsb = inl_lsb;
-        self
+    /// Adds a bow-shaped integral nonlinearity with peak `inl_lsb` LSBs
+    /// (rebuilds the ladder).
+    pub fn with_inl(self, inl_lsb: f64) -> Self {
+        Self::build(self.bits, self.v_lo, self.v_hi, inl_lsb, self.noise_sigma)
     }
 
     /// Adds Gaussian input-referred noise with standard deviation
@@ -68,6 +102,11 @@ impl Adc {
         (self.v_lo, self.v_hi)
     }
 
+    /// Peak of the INL bow, LSBs.
+    pub fn inl_lsb(&self) -> f64 {
+        self.inl_lsb
+    }
+
     /// One LSB in volts.
     pub fn lsb(&self) -> f64 {
         (self.v_hi - self.v_lo) / (self.levels() - 1) as f64
@@ -78,28 +117,44 @@ impl Adc {
         self.noise_sigma
     }
 
+    /// The comparator ladder, or `None` for a configuration that takes
+    /// the exact quantiser (see [`Ladder`]).
+    pub fn ladder(&self) -> Option<&Ladder> {
+        self.ladder.as_ref()
+    }
+
     /// Converts an analog voltage to a code with the standard-normal
     /// noise sample `g` (scaled by the configured sigma). The caller owns
     /// the position-keyed draw, so conversion stays a pure function of
     /// `(v, g)`. Inputs outside the range clip to the end codes.
+    ///
+    /// The code comes from the ladder when the input clears its guard
+    /// band, else from the exact quantiser; either way it equals
+    /// [`Adc::convert_ideal`] of `v + sigma·g`.
     #[inline]
     pub fn convert_with_noise(&self, v: f64, g: f64) -> u16 {
-        self.quantise(v + self.noise_sigma * g)
+        let x = v + self.noise_sigma * g;
+        self.ladder
+            .as_ref()
+            .and_then(|ladder| ladder.convert(x))
+            .unwrap_or_else(|| self.quantise(x))
     }
 
-    /// The deterministic quantiser shared by every conversion path.
+    /// The exact quantiser: the definition of every code, and the
+    /// oracle the ladder is built against.
     #[inline]
     fn quantise(&self, x: f64) -> u16 {
         let t = ((x - self.v_lo) / (self.v_hi - self.v_lo)).clamp(0.0, 1.0);
         let mut code = t * (self.levels() - 1) as f64;
         if self.inl_lsb != 0.0 {
             // Bow INL: zero at the range ends, peak mid-scale.
-            code += self.inl_lsb * (std::f64::consts::PI * t).sin();
+            code += self.inl_lsb * (PI * t).sin();
         }
         code.round().clamp(0.0, (self.levels() - 1) as f64) as u16
     }
 
-    /// Converts without noise (deterministic path for tests/calibration).
+    /// Converts without noise through the exact quantiser (the
+    /// reference path for tests and calibration).
     pub fn convert_ideal(&self, v: f64) -> u16 {
         self.quantise(v)
     }
@@ -115,6 +170,232 @@ impl Adc {
     }
 }
 
+/// The comparator ladder of an [`Adc`]: the quantiser's thresholds,
+/// tabulated once, and the guard band that makes reading them exact.
+///
+/// With `L = levels - 1`, the quantiser computes, in `f64`,
+/// `t = clamp((x - v_lo) / r, 0, 1)` with `r = v_hi - v_lo`, then
+/// `code = clamp(round(L·t + inl·sin(PI·t)), 0, L)`. In real arithmetic
+/// that is a non-decreasing step function of `x` whenever the bow's
+/// slope `L + PI·inl·cos(PI·t)` stays positive, i.e. `|inl|·π < L`.
+/// `th[c]` (`c` in `1..=L`) is the `f64` at which the quantiser steps
+/// from below `c` to at least `c`; `th[0] = -inf` and `th[L+1] = +inf`
+/// pad the table. A conversion guesses `c` from the linear part,
+/// corrects it with `⌈|inl|⌉ + 1` compares each way, and returns `c`
+/// only when `x` lies at least `guard` inside `[th[c], th[c+1])`;
+/// everything else (NaN, ±inf, the guard band) takes the quantiser.
+///
+/// # The guard
+///
+/// Let `u = 2^-53` and `f(x) = L·t(x) + inl·sin(PI·t(x))`, in real
+/// arithmetic over the rounded constants `r` and `PI`. The computed
+/// code value differs from `f(x)` by at most `E = 8u·(L + 3|inl|)`:
+/// `t` carries ≤ 3u (a subtraction and a division), worth
+/// `3u·(L + π|inl|)` through `f`'s slope; `L·t` adds `u·L`; `PI·t`,
+/// `sin` (≤ 2 ulps) and `inl·sin` add `(3 + π)u·|inl|`; the final sum
+/// `1.01u·(L + |inl|)`; in total `u·(5.01L + 16.6|inl|) ≤ E`. Since
+/// `round` gives `≥ c` exactly when its argument is `≥ c - ½`, the
+/// computed code is `≥ c` wherever `f(x) ≥ c - ½ + E` and `< c`
+/// wherever `f(x) < c - ½ - E`. `f` rises with slope at least
+/// `s = (L - π|inl|)/r` inside the range and is flat at the end codes
+/// outside it, so both hold at distance `δ = E/s` from the real
+/// crossing `x*` of `c - ½`: every step of the computed quantiser from
+/// below `c` to at least `c` lies within `δ` of `x*`. `th[c]` is such a
+/// step (its predecessor float reads below `c`), so
+/// `|th[c] - x*| ≤ δ + ulp`, where `ulp = 2u·max(|v_lo|, |v_hi|)`
+/// bounds the spacing of floats in the range. Hence every `x` at least
+/// `2δ + ulp` above `th[c]` reads `≥ c`, and every `x` at least that far
+/// below `th[c+1]` reads `≤ c`. The stored guard is twice that,
+/// `2·(2δ + ulp)`, so the two guard compares, themselves rounded with
+/// relative error `u`, still prove the distance.
+///
+/// For the paper's 8-bit pixel ADC (`0.3..0.9` V, `inl = 0.25`) the
+/// guard is ~2.5e-15 V, about 23 ulps at 0.6 V: a sample lands in the
+/// band with probability ~1e-12.
+///
+/// # Fallback
+///
+/// No ladder is built for more than [`LADDER_MAX_BITS`] bits, or when
+/// the bow's minimum slope `L - PI·|inl|`, less its own rounding error,
+/// is not positive (which includes `|inl|·π ≥ L` and a NaN or infinite
+/// `inl`).
+///
+/// # Construction
+///
+/// Each threshold is seeded by a Newton solve of
+/// `L·t + inl·sin(π·t) = c - ½`, mapped to volts, then settled by an
+/// exponential-then-binary search over ordered `f64` bit patterns with
+/// the quantiser itself as the oracle, ending on adjacent floats that
+/// read `< c` and `≥ c`. [`Ladder::build_evals`] counts the oracle calls.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ladder {
+    /// `th[0] = -inf`, `th[1..=L]` the thresholds, `th[L+1] = +inf`.
+    th: Box<[f64]>,
+    v_lo: f64,
+    /// `L / (v_hi - v_lo)`: the linear part of the index guess.
+    scale: f64,
+    /// Corrective compares each way, `⌈|inl|⌉ + 1`.
+    steps: u32,
+    guard: f64,
+    build_evals: u64,
+}
+
+impl Ladder {
+    /// The ladder of `adc`, or `None` when `adc` takes the exact path.
+    fn build(adc: &Adc) -> Option<Self> {
+        let u = f64::EPSILON / 2.0;
+        let top = adc.levels() - 1;
+        let l = top as f64;
+        let inl = adc.inl_lsb.abs();
+        let r = adc.v_hi - adc.v_lo;
+        // `L - PI·|inl|` rounds to within 2u·L of its real value, so
+        // taking off twice that keeps `slope_lsb` below the real minimum.
+        let slope_lsb = l - PI * inl - 4.0 * u * l;
+        if adc.bits > LADDER_MAX_BITS || !(slope_lsb > 0.0) {
+            return None;
+        }
+        let err = 8.0 * u * (l + 3.0 * inl);
+        let delta = err / (slope_lsb / r);
+        let ulp = 2.0 * u * adc.v_lo.abs().max(adc.v_hi.abs());
+        let guard = 2.0 * (2.0 * delta + ulp);
+
+        let mut evals = 0u64;
+        let mut th = Vec::with_capacity(top as usize + 2);
+        th.push(f64::NEG_INFINITY);
+        for c in 1..=top as u16 {
+            let t = newton_seed(l, adc.inl_lsb, c as f64 - 0.5);
+            th.push(settle(adc, c, adc.v_lo + t * r, &mut evals));
+        }
+        th.push(f64::INFINITY);
+        Some(Self {
+            th: th.into_boxed_slice(),
+            v_lo: adc.v_lo,
+            scale: l / r,
+            steps: inl.ceil() as u32 + 1,
+            guard,
+            build_evals: evals,
+        })
+    }
+
+    /// The ladder code of `x`, or `None` when `x` is not finite or lies
+    /// within the guard band of its step.
+    #[inline]
+    fn convert(&self, x: f64) -> Option<u16> {
+        if !x.is_finite() {
+            return None;
+        }
+        let th = &self.th[..];
+        let top = th.len() - 2;
+        // Saturating cast, then clamp: the guess is a valid code. The
+        // pads stop both walks: no finite `x` is below `th[0]` or at
+        // least `th[top + 1]`.
+        let guess = ((x - self.v_lo) * self.scale) as i64;
+        let mut c = guess.clamp(0, top as i64) as usize;
+        for _ in 0..self.steps {
+            c -= usize::from(x < th[c]);
+        }
+        for _ in 0..self.steps {
+            c += usize::from(x >= th[c + 1]);
+        }
+        (x - th[c] >= self.guard && th[c + 1] - x >= self.guard).then_some(c as u16)
+    }
+
+    /// The padded threshold table: `levels + 1` entries, `-inf` first,
+    /// `+inf` last, and between them, for each code `1..levels`, the
+    /// input at which the quantiser steps up to it (its smallest input
+    /// wherever the quantiser is monotone around that step).
+    pub fn thresholds(&self) -> &[f64] {
+        &self.th
+    }
+
+    /// Half-width of the band around each threshold whose inputs take
+    /// the exact quantiser, volts.
+    pub fn guard(&self) -> f64 {
+        self.guard
+    }
+
+    /// Quantiser evaluations spent building the table.
+    pub fn build_evals(&self) -> u64 {
+        self.build_evals
+    }
+}
+
+/// Newton's method on `l·t + inl·sin(π·t) = target` over `t ∈ [0, 1]`,
+/// from the linear solution, until the step stops moving `t` (at most
+/// 16 steps: the result is only a seed).
+fn newton_seed(l: f64, inl: f64, target: f64) -> f64 {
+    let mut t = target / l;
+    for _ in 0..16 {
+        let f = l * t + inl * (PI * t).sin() - target;
+        let df = l + PI * inl * (PI * t).cos();
+        let next = (t - f / df).clamp(0.0, 1.0);
+        if next == t {
+            break;
+        }
+        t = next;
+    }
+    t
+}
+
+/// A total order on non-NaN `f64`s as `i64` keys: adjacent keys are
+/// adjacent floats (`-0.0` just below `+0.0`).
+fn ordered_key(x: f64) -> i64 {
+    let b = x.to_bits() as i64;
+    if b < 0 {
+        b ^ i64::MAX
+    } else {
+        b
+    }
+}
+
+/// Inverse of [`ordered_key`].
+fn from_key(k: i64) -> f64 {
+    f64::from_bits((if k < 0 { k ^ i64::MAX } else { k }) as u64)
+}
+
+/// The float at which `adc`'s quantiser steps to at least `c`, searched
+/// from `seed`: doubling strides until a float below and one at or
+/// above the step bracket it, then bisection down to adjacent floats.
+/// Ends because `-f64::MAX` reads code 0 and `f64::MAX` code `L ≥ c`.
+fn settle(adc: &Adc, c: u16, seed: f64, evals: &mut u64) -> f64 {
+    let (min, max) = (ordered_key(-f64::MAX), ordered_key(f64::MAX));
+    let mut reaches = |k: i64| {
+        *evals += 1;
+        adc.quantise(from_key(k)) >= c
+    };
+    let k0 = ordered_key(seed).clamp(min, max);
+    let (mut lo, mut hi) = (k0, k0);
+    let mut stride = 1i64;
+    if reaches(k0) {
+        loop {
+            lo = hi.saturating_sub(stride).max(min);
+            if !reaches(lo) {
+                break;
+            }
+            hi = lo;
+            stride = stride.saturating_mul(2);
+        }
+    } else {
+        loop {
+            hi = lo.saturating_add(stride).min(max);
+            if reaches(hi) {
+                break;
+            }
+            lo = hi;
+            stride = stride.saturating_mul(2);
+        }
+    }
+    while (hi as i128 - lo as i128) > 1 {
+        let mid = ((lo as i128 + hi as i128) / 2) as i64;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    from_key(hi)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +408,24 @@ mod tests {
         assert!(Adc::new(20, 0.0, 1.0).is_err());
         assert!(Adc::new(8, 1.0, 1.0).is_err());
         assert!(Adc::new(8, 1.0, 0.5).is_err());
+        for (lo, hi) in [
+            (0.3, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.9),
+            (f64::NAN, 0.9),
+            (0.3, f64::NAN),
+            (-f64::MAX, f64::MAX),
+        ] {
+            let err = Adc::new(8, lo, hi).unwrap_err();
+            assert!(matches!(err, SensorError::InvalidConfig { .. }), "{lo}..{hi}: {err}");
+        }
+    }
+
+    #[test]
+    fn ladder_guard_is_a_few_ulps_for_the_paper_adc() {
+        let adc = Adc::paper_default().with_inl(0.25);
+        let guard = adc.ladder().expect("8-bit ADCs have a ladder").guard();
+        let ulp = 0.6f64.next_up() - 0.6;
+        assert!(guard > ulp && guard < 64.0 * ulp, "guard {guard:e}");
     }
 
     #[test]

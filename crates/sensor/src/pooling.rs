@@ -121,7 +121,7 @@ pub(crate) fn validate_pooling(array: &PixelArray, k: u32) -> Result<()> {
 ///
 /// [`SensorError::InvalidPooling`] when `k` does not tile the array.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pool_channel_keyed(
+pub(crate) fn pool_channel(
     array: &PixelArray,
     channel: usize,
     k: u32,
@@ -138,7 +138,7 @@ pub(crate) fn pool_channel_keyed(
     let area = (k as u64 * k as u64) as f64;
     let plane = array.plane(channel);
     let ku = k as usize;
-    pool_keyed_fused(
+    pool_fused(
         array,
         k,
         sigma,
@@ -165,13 +165,13 @@ pub(crate) fn pool_channel_keyed(
 
 /// Position-keyed, fused gray pool + digitise (`k·k·3` inputs per site,
 /// the combined grayscale + pooling configuration). See
-/// [`pool_channel_keyed`] for the determinism contract.
+/// [`pool_channel`] for the determinism contract.
 ///
 /// # Errors
 ///
 /// [`SensorError::InvalidPooling`] when `k` does not tile the array.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pool_gray_keyed(
+pub(crate) fn pool_gray(
     array: &PixelArray,
     k: u32,
     cfg: &PoolingConfig,
@@ -189,7 +189,7 @@ pub(crate) fn pool_gray_keyed(
     let ku = k as usize;
     // Per-channel means first, then the three-way average — exactly like
     // `PixelArray::mean_window_rgb`.
-    pool_keyed_fused(array, k, sigma, cfg, adc, key, domain::POOL, shards, pool, analog, out, {
+    pool_fused(array, k, sigma, cfg, adc, key, domain::POOL, shards, pool, analog, out, {
         |y0, x0| {
             let mut channel_means = [0.0f64; 3];
             for (plane, mean) in planes.iter().zip(channel_means.iter_mut()) {
@@ -214,14 +214,14 @@ fn combined_sigma(cfg: &PoolingConfig, read_noise: f64, n_inputs: f64) -> f64 {
     (cfg.noise_sigma * cfg.noise_sigma + read_sigma * read_sigma).sqrt()
 }
 
-/// The shared fused keyed kernel behind [`pool_channel_keyed`] and
-/// [`pool_gray_keyed`]: row-sharded sweep over the pooled grid, calling
+/// The shared fused keyed kernel behind [`pool_channel`] and
+/// [`pool_gray`]: row-sharded sweep over the pooled grid, calling
 /// `site_mean(y0, x0)` for each site's mean input voltage (the only part
 /// that differs between the channel and gray configurations), then
 /// transfer + keyed noise + fused ADC conversion.
 // lint: zero-alloc
 #[allow(clippy::too_many_arguments)]
-fn pool_keyed_fused<M: Fn(usize, usize) -> f64 + Sync>(
+fn pool_fused<M: Fn(usize, usize) -> f64 + Sync>(
     array: &PixelArray,
     k: u32,
     sigma: f64,
@@ -285,7 +285,7 @@ mod tests {
     }
 
     /// Keyed channel pool on one thread: `(analog, digital)` planes.
-    fn pool_channel(
+    fn pooled_channel(
         arr: &PixelArray,
         channel: usize,
         k: u32,
@@ -294,15 +294,15 @@ mod tests {
     ) -> Result<(Plane, Plane)> {
         let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
         let adc = Adc::paper_default();
-        pool_channel_keyed(arr, channel, k, cfg, &adc, key, 1, None, &mut analog, &mut out)?;
+        pool_channel(arr, channel, k, cfg, &adc, key, 1, None, &mut analog, &mut out)?;
         Ok((analog, out))
     }
 
     /// Keyed gray pool on one thread: `(analog, digital)` planes.
-    fn pool_gray(arr: &PixelArray, k: u32, cfg: &PoolingConfig, key: u64) -> (Plane, Plane) {
+    fn pooled_gray(arr: &PixelArray, k: u32, cfg: &PoolingConfig, key: u64) -> (Plane, Plane) {
         let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
         let adc = Adc::paper_default();
-        pool_gray_keyed(arr, k, cfg, &adc, key, 1, None, &mut analog, &mut out).unwrap();
+        pool_gray(arr, k, cfg, &adc, key, 1, None, &mut analog, &mut out).unwrap();
         (analog, out)
     }
 
@@ -317,7 +317,7 @@ mod tests {
     fn ideal_pooling_of_flat_field() {
         let arr = array(0.5, 8, 8);
         let cfg = PoolingConfig::ideal();
-        let (p, _) = pool_channel(&arr, 0, 4, &cfg, 1).unwrap();
+        let (p, _) = pooled_channel(&arr, 0, 4, &cfg, 1).unwrap();
         assert_eq!(p.dimensions(), (2, 2));
         let expected = cfg.gain * 0.6 + cfg.offset;
         for &v in p.as_slice() {
@@ -330,7 +330,7 @@ mod tests {
         let scene = RgbImage::from_fn(4, 4, |_, _| (0.0, 0.5, 1.0));
         let arr = PixelArray::from_scene(&scene, PixelParams::noiseless(), 0);
         let cfg = PoolingConfig::ideal();
-        let (p, _) = pool_gray(&arr, 2, &cfg, 1);
+        let (p, _) = pooled_gray(&arr, 2, &cfg, 1);
         // mean irradiance 0.5 -> mean voltage 0.6
         let expected = cfg.gain * 0.6 + cfg.offset;
         for &v in p.as_slice() {
@@ -343,7 +343,7 @@ mod tests {
         let arr = array(0.5, 6, 6);
         let cfg = PoolingConfig::ideal();
         for k in [4, 0] {
-            let err = pool_channel(&arr, 0, k, &cfg, 1).unwrap_err();
+            let err = pooled_channel(&arr, 0, k, &cfg, 1).unwrap_err();
             assert!(matches!(err, SensorError::InvalidPooling { k: got, .. } if got == k), "{err}");
         }
     }
@@ -356,8 +356,8 @@ mod tests {
         let scene = RgbImage::from_fn(32, 32, |_, _| (0.5, 0.5, 0.5));
         let arr = PixelArray::from_scene(&scene, params, 0);
         let cfg = PoolingConfig { noise_sigma: 0.0, nonlinearity: 0.0, ..PoolingConfig::default() };
-        let (p2, _) = pool_channel(&arr, 0, 2, &cfg, crate::noise::frame_key(42, 0)).unwrap();
-        let (p8, _) = pool_channel(&arr, 0, 8, &cfg, crate::noise::frame_key(42, 1)).unwrap();
+        let (p2, _) = pooled_channel(&arr, 0, 2, &cfg, crate::noise::frame_key(42, 0)).unwrap();
+        let (p8, _) = pooled_channel(&arr, 0, 8, &cfg, crate::noise::frame_key(42, 1)).unwrap();
         let sd = |p: &Plane| {
             let m = p.mean() as f64;
             (p.as_slice().iter().map(|&v| (v as f64 - m).powi(2)).sum::<f64>() / p.len() as f64)
@@ -380,36 +380,24 @@ mod tests {
         let pool = ShardPool::new(4);
         let reference = {
             let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
-            pool_channel_keyed(&arr, 1, 2, &cfg, &adc, key, 1, None, &mut analog, &mut out)
-                .unwrap();
+            pool_channel(&arr, 1, 2, &cfg, &adc, key, 1, None, &mut analog, &mut out).unwrap();
             (analog, out)
         };
         for shards in [2usize, 4, 8] {
             let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
-            pool_channel_keyed(
-                &arr,
-                1,
-                2,
-                &cfg,
-                &adc,
-                key,
-                shards,
-                Some(&pool),
-                &mut analog,
-                &mut out,
-            )
-            .unwrap();
+            pool_channel(&arr, 1, 2, &cfg, &adc, key, shards, Some(&pool), &mut analog, &mut out)
+                .unwrap();
             assert_eq!(analog, reference.0, "analog differs at {shards} shards");
             assert_eq!(out, reference.1, "digital differs at {shards} shards");
         }
         // Gray path too.
         let gray_ref = {
             let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
-            pool_gray_keyed(&arr, 4, &cfg, &adc, key, 1, None, &mut analog, &mut out).unwrap();
+            pool_gray(&arr, 4, &cfg, &adc, key, 1, None, &mut analog, &mut out).unwrap();
             (analog, out)
         };
         let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
-        pool_gray_keyed(&arr, 4, &cfg, &adc, key, 3, Some(&pool), &mut analog, &mut out).unwrap();
+        pool_gray(&arr, 4, &cfg, &adc, key, 3, Some(&pool), &mut analog, &mut out).unwrap();
         assert_eq!((analog, out), gray_ref);
     }
 
@@ -440,11 +428,10 @@ mod tests {
         };
         let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
         for ch in 0..3 {
-            pool_channel_keyed(&arr, ch, k, &cfg, &adc, key, 1, None, &mut analog, &mut out)
-                .unwrap();
+            pool_channel(&arr, ch, k, &cfg, &adc, key, 1, None, &mut analog, &mut out).unwrap();
             check(&analog, &out, &|r| arr.mean_window(ch, r));
         }
-        pool_gray_keyed(&arr, k, &cfg, &adc, key, 1, None, &mut analog, &mut out).unwrap();
+        pool_gray(&arr, k, &cfg, &adc, key, 1, None, &mut analog, &mut out).unwrap();
         check(&analog, &out, &|r| arr.mean_window_rgb(r));
     }
 
@@ -454,10 +441,8 @@ mod tests {
         let cfg = PoolingConfig::ideal();
         let adc = Adc::paper_default();
         let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
-        assert!(
-            pool_channel_keyed(&arr, 0, 4, &cfg, &adc, 1, 1, None, &mut analog, &mut out).is_err()
-        );
-        assert!(pool_gray_keyed(&arr, 0, &cfg, &adc, 1, 1, None, &mut analog, &mut out).is_err());
+        assert!(pool_channel(&arr, 0, 4, &cfg, &adc, 1, 1, None, &mut analog, &mut out).is_err());
+        assert!(pool_gray(&arr, 0, &cfg, &adc, 1, 1, None, &mut analog, &mut out).is_err());
     }
 
     #[test]

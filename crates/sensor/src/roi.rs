@@ -47,7 +47,7 @@ fn check_roi(array: &PixelArray, rect: Rect) -> Result<()> {
 /// Every value is a pure function of its **absolute** array position and
 /// the per-readout key, so it does not depend on which other boxes were
 /// requested, on readout order, or on the box offsets.
-fn convert_run_keyed(
+fn convert_run(
     src: &[f32],
     dst: &mut [f32],
     site0: u64,
@@ -95,7 +95,7 @@ fn next_run(earlier: &[Rect], y: u32, x: u32, right: u32) -> (Option<usize>, u32
 /// # Errors
 ///
 /// [`SensorError::RoiOutOfBounds`] when the rectangle leaves the array.
-pub(crate) fn read_roi_keyed(
+pub(crate) fn read_roi(
     array: &PixelArray,
     rect: Rect,
     adc: &Adc,
@@ -103,7 +103,7 @@ pub(crate) fn read_roi_keyed(
     shards: usize,
     shard_pool: Option<&ShardPool>,
 ) -> Result<(RgbImage, ReadoutStats)> {
-    let (mut images, stats) = read_rois_keyed(array, &[rect], adc, key, shards, shard_pool)?;
+    let (mut images, stats) = read_rois(array, &[rect], adc, key, shards, shard_pool)?;
     Ok((images.pop().expect("one box reads one crop"), stats))
 }
 
@@ -117,7 +117,7 @@ pub(crate) fn read_roi_keyed(
 /// # Errors
 ///
 /// [`SensorError::RoiOutOfBounds`] when any rectangle leaves the array.
-pub(crate) fn read_rois_keyed(
+pub(crate) fn read_rois(
     array: &PixelArray,
     rects: &[Rect],
     adc: &Adc,
@@ -126,7 +126,7 @@ pub(crate) fn read_rois_keyed(
     shard_pool: Option<&ShardPool>,
 ) -> Result<(Vec<RgbImage>, ReadoutStats)> {
     let mut images = Vec::with_capacity(rects.len());
-    let stats = read_rois_keyed_into(
+    let stats = read_rois_into(
         array,
         rects,
         adc,
@@ -140,7 +140,7 @@ pub(crate) fn read_rois_keyed(
     Ok((images, stats))
 }
 
-/// In-place counterpart of [`read_rois_keyed`] and the one ROI
+/// In-place counterpart of [`read_rois`] and the one ROI
 /// conversion kernel: the crops replace the contents of `images`
 /// (entries reused where possible; surplus entries retire to `pool`,
 /// shortfalls are drawn from it) and the union sweep runs on the
@@ -160,7 +160,7 @@ pub(crate) fn read_rois_keyed(
 /// [`SensorError::RoiOutOfBounds`] when any box leaves the array;
 /// `images` is left unchanged in that case.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn read_rois_keyed_into(
+pub(crate) fn read_rois_into(
     array: &PixelArray,
     rects: &[Rect],
     adc: &Adc,
@@ -211,7 +211,7 @@ pub(crate) fn read_rois_keyed_into(
                                     &held[(x - r.x) as usize..(end - r.x) as usize],
                                 );
                             }
-                            None => convert_run_keyed(
+                            None => convert_run(
                                 &src_row[x as usize..end as usize],
                                 dst,
                                 row_base + x as u64,
@@ -247,24 +247,24 @@ mod tests {
     }
 
     /// One keyed box on one thread.
-    fn read_roi(arr: &PixelArray, rect: Rect, adc: &Adc) -> Result<(RgbImage, ReadoutStats)> {
-        read_roi_keyed(arr, rect, adc, 1, 1, None)
+    fn read_one(arr: &PixelArray, rect: Rect, adc: &Adc) -> Result<(RgbImage, ReadoutStats)> {
+        read_roi(arr, rect, adc, 1, 1, None)
     }
 
     /// One keyed batch on one thread.
-    fn read_rois(
+    fn read_batch(
         arr: &PixelArray,
         rects: &[Rect],
         adc: &Adc,
     ) -> Result<(Vec<RgbImage>, ReadoutStats)> {
-        read_rois_keyed(arr, rects, adc, 1, 1, None)
+        read_rois(arr, rects, adc, 1, 1, None)
     }
 
     #[test]
     fn roi_content_matches_scene() {
         let arr = gradient_array();
         let adc = Adc::paper_default();
-        let (img, _) = read_roi(&arr, Rect::new(4, 8, 4, 4), &adc).unwrap();
+        let (img, _) = read_one(&arr, Rect::new(4, 8, 4, 4), &adc).unwrap();
         assert_eq!(img.dimensions(), (4, 4));
         // Red channel at (0,0) of the crop corresponds to scene x=4.
         let expected = 4.0 / 15.0;
@@ -277,7 +277,7 @@ mod tests {
     fn roi_stats_single_box() {
         let arr = gradient_array();
         let adc = Adc::paper_default();
-        let (_, stats) = read_roi(&arr, Rect::new(0, 0, 4, 5), &adc).unwrap();
+        let (_, stats) = read_one(&arr, Rect::new(0, 0, 4, 5), &adc).unwrap();
         assert_eq!(stats.conversions, 3 * 20);
         assert_eq!(stats.transferred_bits, 3 * 20 * 8);
         assert_eq!(stats.box_words_bits, 64);
@@ -287,8 +287,8 @@ mod tests {
     fn out_of_bounds_rejected() {
         let arr = gradient_array();
         let adc = Adc::paper_default();
-        assert!(read_roi(&arr, Rect::new(14, 0, 4, 4), &adc).is_err());
-        assert!(read_roi(&arr, Rect::new(0, 0, 0, 4), &adc).is_err());
+        assert!(read_one(&arr, Rect::new(14, 0, 4, 4), &adc).is_err());
+        assert!(read_one(&arr, Rect::new(0, 0, 0, 4), &adc).is_err());
     }
 
     #[test]
@@ -297,7 +297,7 @@ mod tests {
         let adc = Adc::paper_default();
         // Two overlapping 8x8 boxes offset by 4: union 96, sum 128.
         let boxes = [Rect::new(0, 0, 8, 8), Rect::new(4, 0, 8, 8)];
-        let (imgs, stats) = read_rois(&arr, &boxes, &adc).unwrap();
+        let (imgs, stats) = read_batch(&arr, &boxes, &adc).unwrap();
         assert_eq!(imgs.len(), 2);
         assert_eq!(stats.conversions, 3 * 96);
         assert_eq!(stats.transferred_bits, 3 * 128 * 8);
@@ -309,7 +309,7 @@ mod tests {
         let arr = gradient_array();
         let adc = Adc::paper_default();
         let boxes = [Rect::new(0, 0, 4, 4), Rect::new(15, 15, 4, 4)];
-        assert!(read_rois(&arr, &boxes, &adc).is_err());
+        assert!(read_batch(&arr, &boxes, &adc).is_err());
     }
 
     #[test]
@@ -329,8 +329,8 @@ mod tests {
         let mut union = UnionScratch::new();
         // Growing and shrinking ROI counts recycle through the pool.
         for rects in frames {
-            let (expected, expected_stats) = read_rois(&arr, rects, &adc).unwrap();
-            let stats = read_rois_keyed_into(
+            let (expected, expected_stats) = read_batch(&arr, rects, &adc).unwrap();
+            let stats = read_rois_into(
                 &arr,
                 rects,
                 &adc,
@@ -348,7 +348,7 @@ mod tests {
         // A failing batch must leave the previous images untouched.
         let before = images.clone();
         let bad = [Rect::new(15, 15, 4, 4)];
-        assert!(read_rois_keyed_into(
+        assert!(read_rois_into(
             &arr,
             &bad,
             &adc,
@@ -374,7 +374,7 @@ mod tests {
         let key = crate::noise::frame_key(4, 0);
         let a = Rect::new(0, 0, 8, 8);
         let b = Rect::new(4, 2, 8, 8);
-        let (imgs, _) = read_rois_keyed(&arr, &[a, b], &adc, key, 1, None).unwrap();
+        let (imgs, _) = read_rois(&arr, &[a, b], &adc, key, 1, None).unwrap();
         let mut overlapping = 0;
         for y in 2..8u32 {
             for x in 4..8u32 {
@@ -389,7 +389,7 @@ mod tests {
         assert_eq!(overlapping, 24);
         // A later readout op (fresh key) is an independent realisation.
         let (again, _) =
-            read_rois_keyed(&arr, &[a], &adc, crate::noise::frame_key(4, 1), 1, None).unwrap();
+            read_rois(&arr, &[a], &adc, crate::noise::frame_key(4, 1), 1, None).unwrap();
         assert_ne!(again[0], imgs[0]);
     }
 
@@ -408,38 +408,18 @@ mod tests {
         let mut union = UnionScratch::new();
         for (op, rects) in frames.into_iter().enumerate() {
             let key = crate::noise::frame_key(4, op as u64);
-            let (expected, expected_stats) =
-                read_rois_keyed(&arr, rects, &adc, key, 1, None).unwrap();
-            let stats = read_rois_keyed_into(
-                &arr,
-                rects,
-                &adc,
-                key,
-                1,
-                None,
-                &mut images,
-                &mut pool,
-                &mut union,
-            )
-            .unwrap();
+            let (expected, expected_stats) = read_rois(&arr, rects, &adc, key, 1, None).unwrap();
+            let stats =
+                read_rois_into(&arr, rects, &adc, key, 1, None, &mut images, &mut pool, &mut union)
+                    .unwrap();
             assert_eq!(images, expected);
             assert_eq!(stats, expected_stats);
         }
         // A failing batch must leave the previous images untouched.
         let before = images.clone();
         let bad = [Rect::new(15, 15, 4, 4)];
-        assert!(read_rois_keyed_into(
-            &arr,
-            &bad,
-            &adc,
-            1,
-            1,
-            None,
-            &mut images,
-            &mut pool,
-            &mut union
-        )
-        .is_err());
+        assert!(read_rois_into(&arr, &bad, &adc, 1, 1, None, &mut images, &mut pool, &mut union)
+            .is_err());
         assert_eq!(images, before);
     }
 
@@ -480,17 +460,15 @@ mod tests {
         let mut frames = FramePool::new();
         let mut union = UnionScratch::new();
         for (name, rects) in batches {
-            let alone: Vec<RgbImage> = rects
-                .iter()
-                .map(|&r| read_roi_keyed(&arr, r, &adc, key, 1, None).unwrap().0)
-                .collect();
+            let alone: Vec<RgbImage> =
+                rects.iter().map(|&r| read_roi(&arr, r, &adc, key, 1, None).unwrap().0).collect();
             let expected_stats = ReadoutStats {
                 conversions: 3 * union_area(rects),
                 transferred_bits: 3 * sum_area(rects) * 8,
                 box_words_bits: rects.len() as u64 * WORDS_PER_BOX * WORD_BITS,
             };
             for shards in [1usize, 2, 3] {
-                let stats = read_rois_keyed_into(
+                let stats = read_rois_into(
                     &arr,
                     rects,
                     &adc,
@@ -516,7 +494,7 @@ mod tests {
         let arr = gradient_array();
         let adc = Adc::paper_default();
         let boxes = [Rect::new(0, 0, 4, 4), Rect::new(8, 8, 4, 4)];
-        let (_, stats) = read_rois(&arr, &boxes, &adc).unwrap();
+        let (_, stats) = read_batch(&arr, &boxes, &adc).unwrap();
         assert_eq!(stats.conversions * 8, stats.transferred_bits);
     }
 }

@@ -132,22 +132,37 @@ impl SensorConfig {
 
     /// Checks that the sensor can build both of its ADCs: the pixel ADC
     /// (`adc_bits` over `pixel.v_dark..pixel.v_sat`) and the pooled ADC
-    /// (`adc_bits` over the pooling circuit's output range). The readouts
-    /// of a [`Sensor`] expect a configuration that passes.
+    /// (`adc_bits` over the pooling circuit's output range), with a
+    /// finite INL bow and a finite, non-negative conversion noise.
+    /// [`Sensor::capture`] expects a configuration that passes.
     ///
     /// # Errors
     ///
-    /// [`SensorError::InvalidConfig`] exactly when [`Adc::new`] rejects
-    /// either ADC: a bit width outside `1..=16`, `v_sat <= v_dark`, or an
-    /// empty pooling output range (e.g. a non-positive pooling gain).
+    /// [`SensorError::InvalidConfig`] when [`Adc::new`] rejects either
+    /// ADC (a bit width outside `1..=16`, a non-finite voltage, `v_sat <=
+    /// v_dark`, or an empty pooling output range, e.g. a non-positive
+    /// pooling gain), when `adc_inl_lsb` is not finite, or when
+    /// `adc_noise` is negative or not finite.
     pub fn validate(&self) -> Result<()> {
-        self.pixel_adc()?;
+        Adc::check(self.adc_bits, self.pixel.v_dark, self.pixel.v_sat)?;
         // The bit width passed above, so only the pooled range can fail.
         let (lo, hi) = self.pooled_range();
-        self.pooled_adc().map_err(|_| SensorError::InvalidConfig {
+        Adc::check(self.adc_bits, lo, hi).map_err(|_| SensorError::InvalidConfig {
             parameter: "pooling output range",
             value: hi - lo,
         })?;
+        if !self.adc_inl_lsb.is_finite() {
+            return Err(SensorError::InvalidConfig {
+                parameter: "adc_inl_lsb",
+                value: self.adc_inl_lsb,
+            });
+        }
+        if !(self.adc_noise >= 0.0 && self.adc_noise.is_finite()) {
+            return Err(SensorError::InvalidConfig {
+                parameter: "adc_noise",
+                value: self.adc_noise,
+            });
+        }
         Ok(())
     }
 
@@ -156,15 +171,12 @@ impl SensorConfig {
         self.pooling.output_range(self.pixel.v_dark, self.pixel.v_sat)
     }
 
-    fn pixel_adc(&self) -> Result<Adc> {
-        let adc = Adc::new(self.adc_bits, self.pixel.v_dark, self.pixel.v_sat)?;
-        Ok(adc.with_inl(self.adc_inl_lsb).with_noise(self.adc_noise))
-    }
-
-    fn pooled_adc(&self) -> Result<Adc> {
+    /// Builds the pixel and pooled ADCs, comparator ladders included.
+    fn adcs(&self) -> Result<(Adc, Adc)> {
+        self.validate()?;
+        let adc = |lo, hi| Adc::build(self.adc_bits, lo, hi, self.adc_inl_lsb, self.adc_noise);
         let (lo, hi) = self.pooled_range();
-        let adc = Adc::new(self.adc_bits, lo, hi)?;
-        Ok(adc.with_inl(self.adc_inl_lsb).with_noise(self.adc_noise))
+        Ok((adc(self.pixel.v_dark, self.pixel.v_sat), adc(lo, hi)))
     }
 }
 
@@ -175,12 +187,18 @@ impl SensorConfig {
 /// readout-op counter, so captures of the same sensor are independent
 /// noise realisations over the same fixed pattern.
 ///
-/// The readouts expect a configuration that passes
-/// [`SensorConfig::validate`] and panic otherwise.
+/// The sensor builds its two ADCs (and their comparator ladders) once,
+/// at [`Sensor::capture`], from a configuration that must pass
+/// [`SensorConfig::validate`]; capture panics otherwise. The
+/// configuration never changes afterwards, so neither do the ADCs.
 #[derive(Debug, Clone)]
 pub struct Sensor {
     array: PixelArray,
     config: SensorConfig,
+    /// Converts full-resolution sub-pixels (ROI and full readout).
+    pixel_adc: Adc,
+    /// Converts pooled outputs, spanned over the pooling output range.
+    pooled_adc: Adc,
     /// Base seed of the temporal-noise keys (reset on recapture,
     /// replaced by [`Sensor::reseed_temporal_noise`]).
     noise_seed: u64,
@@ -202,6 +220,10 @@ fn config_shards(config: &SensorConfig) -> usize {
 
 impl Sensor {
     /// Captures `scene` onto a new sensor.
+    ///
+    /// # Panics
+    ///
+    /// When `config` fails [`SensorConfig::validate`].
     pub fn new(scene: RgbImage, config: SensorConfig) -> Self {
         Self::capture(&scene, config)
     }
@@ -209,7 +231,13 @@ impl Sensor {
     /// Captures `scene` onto a new sensor without taking ownership of it
     /// (the array copies the pixel data anyway). Identical to
     /// [`Sensor::new`] minus one full-frame clone.
+    ///
+    /// # Panics
+    ///
+    /// When `config` fails [`SensorConfig::validate`].
     pub fn capture(scene: &RgbImage, config: SensorConfig) -> Self {
+        let (pixel_adc, pooled_adc) =
+            config.adcs().expect("sensor configuration must pass SensorConfig::validate");
         // Build the shard workers before the first fill, so the initial
         // capture row-shards exactly like every recapture.
         let shards = config_shards(&config);
@@ -221,7 +249,15 @@ impl Sensor {
             shards,
             shard_pool.as_deref(),
         );
-        Self { array, config, noise_seed: config.seed ^ TEMPORAL_SEED_MASK, ops: 0, shard_pool }
+        Self {
+            array,
+            config,
+            pixel_adc,
+            pooled_adc,
+            noise_seed: config.seed ^ TEMPORAL_SEED_MASK,
+            ops: 0,
+            shard_pool,
+        }
     }
 
     /// Recaptures a (possibly differently-sized) scene onto this sensor in
@@ -294,12 +330,14 @@ impl Sensor {
         &self.config
     }
 
-    fn pixel_adc(&self) -> Adc {
-        self.config.pixel_adc().expect("pixel ADC config is checked by SensorConfig::validate")
+    /// The ADC of the full-resolution readouts (ROI and full frame).
+    pub fn pixel_adc(&self) -> &Adc {
+        &self.pixel_adc
     }
 
-    fn pooled_adc(&self) -> Adc {
-        self.config.pooled_adc().expect("pooled ADC config is checked by SensorConfig::validate")
+    /// The ADC of the stage-1 pooled capture.
+    pub fn pooled_adc(&self) -> &Adc {
+        &self.pooled_adc
     }
 
     /// Stage-1 capture: in-sensor pooling (+ optional grayscale fold),
@@ -340,9 +378,9 @@ impl Sensor {
         out: &mut Image,
     ) -> Result<ReadoutStats> {
         pooling::validate_pooling(&self.array, k)?;
-        let adc = self.pooled_adc();
-        let bits = adc.bits() as u64;
         let (key, shards) = self.next_keyed_op();
+        let adc = &self.pooled_adc;
+        let bits = adc.bits() as u64;
         let pool = self.shard_pool.as_deref();
         let count = match mode {
             ColorMode::Gray => {
@@ -353,11 +391,11 @@ impl Sensor {
                         other.as_gray_mut().expect("just assigned the gray variant")
                     }
                 };
-                pooling::pool_gray_keyed(
+                pooling::pool_gray(
                     &self.array,
                     k,
                     &self.config.pooling,
-                    &adc,
+                    adc,
                     key,
                     shards,
                     pool,
@@ -375,12 +413,12 @@ impl Sensor {
                     }
                 };
                 for (ch, plane) in target.planes_mut().into_iter().enumerate() {
-                    pooling::pool_channel_keyed(
+                    pooling::pool_channel(
                         &self.array,
                         ch,
                         k,
                         &self.config.pooling,
-                        &adc,
+                        adc,
                         key,
                         shards,
                         pool,
@@ -397,10 +435,10 @@ impl Sensor {
     /// Conventional full-array readout: every sub-pixel converted and
     /// transferred (the paper's baseline, `C_old = n·m·3`).
     pub fn read_full(&mut self) -> (RgbImage, ReadoutStats) {
-        let adc = self.pixel_adc();
+        let key = self.next_op_key();
+        let adc = &self.pixel_adc;
         let (w, h) = (self.array.width(), self.array.height());
         let read_noise = self.config.pixel.read_noise;
-        let key = self.next_op_key();
         let sampler = NormalSampler::new();
         let adc_sigma = adc.noise_sigma();
         let sites = w as u64 * h as u64;
@@ -441,9 +479,8 @@ impl Sensor {
     ///
     /// [`crate::SensorError::RoiOutOfBounds`] when the box leaves the array.
     pub fn read_roi(&mut self, rect: Rect) -> Result<(RgbImage, ReadoutStats)> {
-        let adc = self.pixel_adc();
         let (key, shards) = self.next_keyed_op();
-        roi::read_roi_keyed(&self.array, rect, &adc, key, shards, self.shard_pool.as_deref())
+        roi::read_roi(&self.array, rect, &self.pixel_adc, key, shards, self.shard_pool.as_deref())
     }
 
     /// Stage-2 readout of a batch of ROIs: conversions are charged on the
@@ -455,9 +492,8 @@ impl Sensor {
     ///
     /// [`crate::SensorError::RoiOutOfBounds`] when any box leaves the array.
     pub fn read_rois(&mut self, rects: &[Rect]) -> Result<(Vec<RgbImage>, ReadoutStats)> {
-        let adc = self.pixel_adc();
         let (key, shards) = self.next_keyed_op();
-        roi::read_rois_keyed(&self.array, rects, &adc, key, shards, self.shard_pool.as_deref())
+        roi::read_rois(&self.array, rects, &self.pixel_adc, key, shards, self.shard_pool.as_deref())
     }
 
     /// In-place variant of [`Sensor::read_rois`]: crops land in `images`
@@ -476,13 +512,12 @@ impl Sensor {
         pool: &mut FramePool,
         union: &mut UnionScratch,
     ) -> Result<ReadoutStats> {
-        let adc = self.pixel_adc();
         let (key, shards) = self.next_keyed_op();
         let shard_pool = self.shard_pool.as_deref();
-        roi::read_rois_keyed_into(
+        roi::read_rois_into(
             &self.array,
             rects,
-            &adc,
+            &self.pixel_adc,
             key,
             shards,
             shard_pool,
@@ -672,6 +707,11 @@ mod tests {
             ("gain 0", SensorConfig { pooling: pooling(0.0), ..SensorConfig::default() }),
             ("gain < 0", SensorConfig { pooling: pooling(-0.5), ..SensorConfig::default() }),
             ("gain NaN", SensorConfig { pooling: pooling(f64::NAN), ..SensorConfig::default() }),
+            ("v_sat inf", SensorConfig { pixel: pixel(0.3, f64::INFINITY), ..Default::default() }),
+            (
+                "v_dark -inf",
+                SensorConfig { pixel: pixel(f64::NEG_INFINITY, 0.9), ..Default::default() },
+            ),
         ] {
             let err = bad.validate().unwrap_err();
             assert!(matches!(err, SensorError::InvalidConfig { .. }), "{name}: {err}");
@@ -679,6 +719,40 @@ mod tests {
             let (lo, hi) = bad.pooling.output_range(bad.pixel.v_dark, bad.pixel.v_sat);
             assert!(!(pixel_ok && Adc::new(bad.adc_bits, lo, hi).is_ok()), "{name}");
         }
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_bow_and_bad_noise() {
+        let inl = |adc_inl_lsb| SensorConfig { adc_inl_lsb, ..SensorConfig::default() };
+        let noise = |adc_noise| SensorConfig { adc_noise, ..SensorConfig::default() };
+        for (parameter, bad) in [
+            ("adc_inl_lsb", inl(f64::NAN)),
+            ("adc_inl_lsb", inl(f64::INFINITY)),
+            ("adc_inl_lsb", inl(f64::NEG_INFINITY)),
+            ("adc_noise", noise(-1e-3)),
+            ("adc_noise", noise(f64::NAN)),
+            ("adc_noise", noise(f64::INFINITY)),
+        ] {
+            let err = bad.validate().unwrap_err();
+            assert!(
+                matches!(err, SensorError::InvalidConfig { parameter: p, .. } if p == parameter),
+                "{parameter}: {err}"
+            );
+        }
+        // A bow past the ladder's bound is still a valid (exact-path) ADC.
+        assert!(inl(-100.0).validate().is_ok());
+        assert!(noise(0.0).validate().is_ok());
+    }
+
+    #[test]
+    fn the_sensor_builds_its_adcs_from_its_config() {
+        let sensor = Sensor::new(test_scene(8, 8), SensorConfig::default());
+        let cfg = SensorConfig::default();
+        let (lo, hi) = cfg.pooling.output_range(cfg.pixel.v_dark, cfg.pixel.v_sat);
+        let pixel = Adc::new(8, cfg.pixel.v_dark, cfg.pixel.v_sat).unwrap();
+        let pooled = Adc::new(8, lo, hi).unwrap();
+        assert_eq!(sensor.pixel_adc(), &pixel.with_inl(0.25).with_noise(0.2e-3));
+        assert_eq!(sensor.pooled_adc(), &pooled.with_inl(0.25).with_noise(0.2e-3));
     }
 
     #[test]
