@@ -151,7 +151,8 @@ pub fn run_dataset(
                 k,
                 color,
                 Detector::new(det_cfg.clone()),
-            );
+            )
+            .expect("the default sensor config is valid");
             let hirise_cfg = HiriseConfig::builder(aw, ah)
                 .pooling(k)
                 .stage1_color(color)

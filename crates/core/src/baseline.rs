@@ -22,8 +22,14 @@ pub struct ConventionalPipeline {
 
 impl ConventionalPipeline {
     /// Creates the baseline with the given sensor physics.
-    pub fn new(sensor_config: SensorConfig) -> Self {
-        Self { sensor_config }
+    ///
+    /// # Errors
+    ///
+    /// [`crate::HiriseError::Sensor`] when `sensor_config` fails
+    /// [`SensorConfig::validate`].
+    pub fn new(sensor_config: SensorConfig) -> Result<Self> {
+        sensor_config.validate()?;
+        Ok(Self { sensor_config })
     }
 
     /// Captures and ships the full frame; returns the digital image and a
@@ -63,13 +69,19 @@ pub struct InProcessorPipeline {
 
 impl InProcessorPipeline {
     /// Creates the in-processor scaling baseline.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::HiriseError::Sensor`] when `sensor_config` fails
+    /// [`SensorConfig::validate`].
     pub fn new(
         sensor_config: SensorConfig,
         pooling_k: u32,
         color_mode: ColorMode,
         detector: Detector,
-    ) -> Self {
-        Self { sensor_config, pooling_k, color_mode, detector }
+    ) -> Result<Self> {
+        sensor_config.validate()?;
+        Ok(Self { sensor_config, pooling_k, color_mode, detector })
     }
 
     /// Shared detector access.
@@ -128,7 +140,7 @@ mod tests {
 
     #[test]
     fn conventional_costs_match_formulas() {
-        let baseline = ConventionalPipeline::new(SensorConfig::noiseless());
+        let baseline = ConventionalPipeline::new(SensorConfig::noiseless()).unwrap();
         let (img, report) = baseline.run(&scene(64, 48));
         assert_eq!(img.dimensions(), (64, 48));
         assert_eq!(report.conversions(), 64 * 48 * 3);
@@ -138,13 +150,32 @@ mod tests {
     }
 
     #[test]
+    fn baselines_reject_an_invalid_sensor_config() {
+        use hirise_sensor::SensorError;
+        let bad = SensorConfig { adc_inl_lsb: f64::NAN, ..SensorConfig::default() };
+        let is_inl_error = |e: crate::HiriseError| {
+            matches!(
+                e,
+                crate::HiriseError::Sensor(SensorError::InvalidConfig {
+                    parameter: "adc_inl_lsb",
+                    ..
+                })
+            )
+        };
+        assert!(is_inl_error(ConventionalPipeline::new(bad).unwrap_err()));
+        let in_proc = InProcessorPipeline::new(bad, 2, ColorMode::Rgb, Detector::default());
+        assert!(is_inl_error(in_proc.unwrap_err()));
+    }
+
+    #[test]
     fn in_processor_scales_digitally() {
         let p = InProcessorPipeline::new(
             SensorConfig::noiseless(),
             4,
             ColorMode::Rgb,
             Detector::default(),
-        );
+        )
+        .unwrap();
         let (scaled, stats) = p.scaled_capture(&scene(64, 48)).unwrap();
         assert_eq!((scaled.width(), scaled.height()), (16, 12));
         // The full frame was still converted and transferred.
@@ -158,7 +189,8 @@ mod tests {
             2,
             ColorMode::Gray,
             Detector::default(),
-        );
+        )
+        .unwrap();
         let (scaled, _) = p.scaled_capture(&scene(64, 48)).unwrap();
         assert_eq!(scaled.channels(), 1);
     }
@@ -172,7 +204,8 @@ mod tests {
             4,
             ColorMode::Rgb,
             Detector::default(),
-        );
+        )
+        .unwrap();
         let (proc_img, _) = in_proc.scaled_capture(&s).unwrap();
 
         let cfg = crate::HiriseConfig::builder(64, 48)

@@ -75,7 +75,7 @@ pub use error::HiriseError;
 pub use pipeline::{HirisePipeline, PipelineRun};
 pub use recover::RecoverError;
 pub use report::{FrameKind, RunReport, TemporalFrameReport};
-pub use scratch::PipelineScratch;
+pub use scratch::{PipelineScratch, RoiCrops};
 pub use summary::SequenceSummary;
 pub use temporal::{TrackerCheckpoint, TrackerState, TrackingPipeline};
 pub use timing::StageTimings;

@@ -294,11 +294,15 @@ mod tests {
         let pipeline = HirisePipeline::new(small_config());
         let mut scratch = PipelineScratch::new();
         // Several frames through one scratch, compared field by field
-        // against fresh allocating runs.
+        // against fresh allocating runs. The frames alternate between two
+        // ROI crop sets swapped in from outside, which must not show.
+        let mut crops = [crate::RoiCrops::default(), crate::RoiCrops::default()];
         for i in 0..4u32 {
             let mut scene = scene_with_object(192, 144);
             let extra = Rect::new(10 + 20 * i, 100, 30, 30);
             draw::fill_rect_rgb(&mut scene, extra, (0.2, 0.8, 0.6));
+            let set = &mut crops[i as usize % 2];
+            scratch.swap_roi_crops(set);
             let report = pipeline.run_with_scratch(&scene, &mut scratch).unwrap();
             let fresh = pipeline.run(&scene).unwrap();
             assert_eq!(report, fresh.report, "frame {i}");
@@ -306,6 +310,8 @@ mod tests {
             assert_eq!(scratch.detections(), fresh.detections.as_slice());
             assert_eq!(scratch.rois(), fresh.rois.as_slice());
             assert_eq!(scratch.roi_images(), fresh.roi_images.as_slice());
+            scratch.swap_roi_crops(set);
+            assert!(scratch.roi_images().is_empty(), "frame {i}: the crops moved out");
         }
     }
 

@@ -72,11 +72,30 @@ impl Default for PipelineScratch {
     }
 }
 
+/// A set of ROI crop buffers: the crops a frame reads and the free list
+/// that recycles their planes. Their capacities follow the ROI sizes of
+/// the frames they served, so a caller that interleaves many sequences
+/// on one scratch can keep one set per sequence and swap it in with
+/// [`PipelineScratch::swap_roi_crops`]: each set then reaches its
+/// high-water mark on its own sequence, whichever scratch serves it.
+#[derive(Debug, Clone, Default)]
+pub struct RoiCrops {
+    images: Vec<RgbImage>,
+    pool: FramePool,
+}
+
 impl PipelineScratch {
     /// Creates an empty scratch; buffers grow to their steady-state sizes
     /// during the first frame.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Exchanges this scratch's ROI crop buffers with `crops`. The frame
+    /// results in [`PipelineScratch::roi_images`] move with them.
+    pub fn swap_roi_crops(&mut self, crops: &mut RoiCrops) {
+        std::mem::swap(&mut self.roi_images, &mut crops.images);
+        std::mem::swap(&mut self.pool, &mut crops.pool);
     }
 
     /// The stage-1 pooled image of the most recent frame.

@@ -472,6 +472,16 @@ impl TrackingPipeline {
         self.pipeline = HirisePipeline::new(config);
     }
 
+    /// Whether the next frame of `state`'s sequence is a scheduled
+    /// keyframe: it falls on the keyframe cadence, or no track is alive
+    /// to read. [`TrackingPipeline::run_frame`] decides by this rule
+    /// after its predict step; a scheduler may ask before it, as a cost
+    /// guess.
+    pub fn keyframe_due(&self, state: &TrackerState) -> bool {
+        state.frame_index.is_multiple_of(self.temporal.keyframe_interval as u64)
+            || state.tracks.is_empty()
+    }
+
     /// Processes the next frame of the sequence `state` belongs to.
     ///
     /// The frame results stay readable on the scratch until the next
@@ -510,9 +520,7 @@ impl TrackingPipeline {
         state.track_rects.clear();
         state.track_rects.extend(state.tracks.iter().map(|t| t.base_rect(aw, ah)));
 
-        let scheduled = state.frame_index.is_multiple_of(self.temporal.keyframe_interval as u64)
-            || state.tracks.is_empty();
-        let (kind, stage1, stage2) = if scheduled {
+        let (kind, stage1, stage2) = if self.keyframe_due(state) {
             state.keyframes += 1;
             let (s1, s2) = self.refresh(state, scratch, &mut timings)?;
             (FrameKind::Keyframe, s1, s2)

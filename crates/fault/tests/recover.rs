@@ -38,7 +38,6 @@ fn serve_config(plan: &Arc<FaultPlan>) -> ServeConfig {
         .rated_sessions(4)
         .max_sessions(16)
         .queue_capacity(4)
-        .quantum(2)
         .latency_window(64)
         .fault(injector)
 }

@@ -253,12 +253,22 @@ pub(crate) fn band(rows: usize, shards: usize, index: usize) -> (usize, usize) {
 /// through [`SendPtr::get`] so closures capture the wrapper — not the
 /// bare pointer, which edition-2021 disjoint capture would otherwise
 /// pull out field-by-field, losing the `Send`/`Sync` blessing.
-#[derive(Clone, Copy)]
 pub(crate) struct SendPtr<T>(*mut T);
+
+// Hand-written rather than derived: a derive would require `T: Copy`,
+// but only the pointer is copied.
+impl<T> Clone for SendPtr<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for SendPtr<T> {}
 
 // SAFETY: the wrapper only moves the pointer value across threads; all
 // access goes through `get`, and every user derives disjoint per-shard
-// slices from it (band disjointness, checked where the slices are made).
+// slices or elements from it (band or claim disjointness, argued where
+// the references are made).
 unsafe impl<T> Send for SendPtr<T> {}
 // SAFETY: as above — shared access hands out the raw pointer only, and
 // shards never alias each other's bands.
@@ -322,9 +332,103 @@ pub fn shard_rows<T: Send, F: Fn(usize, usize, &mut [T]) + Sync>(
     }
 }
 
+/// One shard's view of a [`claim_each`] job: each `next` claims the
+/// next position of the shared order and yields `(index, &mut data[index])`.
+pub struct Claims<'a, T> {
+    base: SendPtr<T>,
+    order: &'a [usize],
+    cursor: &'a AtomicUsize,
+    _data: std::marker::PhantomData<&'a mut [T]>,
+}
+
+impl<'a, T> Iterator for Claims<'a, T> {
+    type Item = (usize, &'a mut T);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &index = self.order.get(self.cursor.fetch_add(1, Ordering::Relaxed))?;
+        // SAFETY: `claim_each` built `order` from distinct in-bounds
+        // indices of `data`, and the shared cursor hands out each
+        // position of `order` exactly once across all shards, so no two
+        // claims alias. `data` stays exclusively borrowed by
+        // `claim_each`, which returns only after every shard has checked
+        // in, so the reference cannot outlive it.
+        Some((index, unsafe { &mut *self.base.get().add(index) }))
+    }
+}
+
+/// Runs `f(shard, claims)` on up to `shards` pool shards, where the
+/// shards claim the elements of `data` that `class` admits one at a
+/// time from one shared cursor (dynamic load balancing, unlike the
+/// fixed bands of [`shard_rows`]). `class` returns `None` to skip an
+/// element, `Some(true)` to place it in the first class and
+/// `Some(false)` in the second; the claim order is the first class then
+/// the second, each in index order. `order` is the reusable buffer that
+/// order is built in: with capacity for `data.len()` indices, a call
+/// allocates nothing. With one shard, or a pool without workers, the
+/// claims run inline in that order.
+pub fn claim_each<T, C, F>(
+    pool: &ShardPool,
+    data: &mut [T],
+    order: &mut Vec<usize>,
+    shards: usize,
+    class: C,
+    f: F,
+) where
+    T: Send,
+    C: Fn(&T) -> Option<bool>,
+    F: Fn(usize, Claims<'_, T>) + Sync,
+{
+    order.clear();
+    for first in [true, false] {
+        order.extend((0..data.len()).filter(|&i| class(&data[i]) == Some(first)));
+    }
+    if order.is_empty() {
+        return;
+    }
+    let base = SendPtr::new(data.as_mut_ptr());
+    let (order, cursor) = (&order[..], AtomicUsize::new(0));
+    pool.run(shards.clamp(1, order.len()), &|shard| {
+        f(shard, Claims { base, order, cursor: &cursor, _data: std::marker::PhantomData });
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn claim_each_hands_out_each_admitted_element_once_in_class_order() {
+        let pool = ShardPool::new(3);
+        let mut order = Vec::with_capacity(10);
+        for shards in [1usize, 2, 3, 8] {
+            let mut data: Vec<u32> = (0..10).collect();
+            let seen = Mutex::new(Vec::new());
+            // Multiples of 3 first, odd numbers second, the rest skipped.
+            let class = |v: &u32| {
+                if v.is_multiple_of(3) {
+                    Some(true)
+                } else {
+                    (v % 2 == 1).then_some(false)
+                }
+            };
+            claim_each(&pool, &mut data, &mut order, shards, class, |_, claims| {
+                for (index, value) in claims {
+                    *value += 100;
+                    seen.lock().unwrap().push(index);
+                }
+            });
+            assert_eq!(order, [0, 3, 6, 9, 1, 5, 7], "shards={shards}");
+            let mut seen = seen.into_inner().unwrap();
+            if shards == 1 {
+                assert_eq!(seen, order, "one shard claims in order");
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, [0, 1, 3, 5, 6, 7, 9], "shards={shards}");
+            let bumped: Vec<usize> =
+                data.iter().filter(|&&v| v >= 100).map(|&v| v as usize - 100).collect();
+            assert_eq!(bumped, seen, "shards={shards}");
+        }
+    }
 
     #[test]
     fn band_partitions_rows() {

@@ -1,5 +1,5 @@
 //! The serve engine: session slab, admission control, tick-driven
-//! shedding, and deficit-round-robin frame scheduling.
+//! shedding, and per-session frame scheduling.
 //!
 //! # Lifecycle
 //!
@@ -10,9 +10,11 @@
 //! load ratio `active / rated_sessions`, and lets every session move
 //! this tick's frame arrivals into its bounded queue, stamping each
 //! queued frame with the session's current shed level. Between ticks,
-//! [`ServeEngine::serve_parallel`] drains the queues round-robin,
-//! `quantum` frames per session per round, on the engine's persistent
-//! worker pool (or inline on the caller with one worker).
+//! [`ServeEngine::serve_parallel`] drains every queue on the engine's
+//! persistent worker pool (or inline on the caller with one worker):
+//! workers claim whole sessions from one shared cursor, sessions with a
+//! keyframe due first, and drain each claimed queue before claiming the
+//! next.
 //!
 //! # Determinism
 //!
@@ -21,8 +23,8 @@
 //! serving. A session's output is therefore a pure function of its
 //! `(spec, source, arrival schedule, stamped level trajectory)`: for a
 //! fixed tick/serve driver schedule, worker counts, slot placement, and
-//! round-robin order cannot change any session's frames, counters, or
-//! energy fold. The integration tests pin this bit-for-bit.
+//! claim order cannot change any session's frames, counters, or energy
+//! fold. The integration tests pin this bit-for-bit.
 //!
 //! # No drops, by construction
 //!
@@ -34,11 +36,12 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use hirise::{HiriseConfig, PipelineScratch, Result, TemporalConfig};
-use hirise_sensor::shard::shard_rows;
+use hirise::{HiriseConfig, HiriseError, PipelineScratch, Result, TemporalConfig};
+use hirise_sensor::shard::claim_each;
 use hirise_sensor::ShardPool;
 
 use crate::fault::FaultInjector;
+use crate::metrics::nearest_rank_of_two;
 use crate::session::{FrameSource, Session, SessionReport, SessionSpec};
 use crate::shed::ShedPolicy;
 
@@ -99,9 +102,6 @@ pub struct ServeConfig {
     pub max_sessions: usize,
     /// Bounded per-session frame queue length (≥ 1).
     pub queue_capacity: usize,
-    /// Deficit-round-robin quantum: frames served per session per
-    /// scheduling round (≥ 1).
-    pub quantum: u32,
     /// Latency reservoir window per session.
     pub latency_window: usize,
     /// The overload shed ladder.
@@ -126,7 +126,6 @@ impl ServeConfig {
             rated_sessions: 8,
             max_sessions: 32,
             queue_capacity: 8,
-            quantum: 2,
             latency_window: 128,
             shed: ShedPolicy::default(),
             fault: None,
@@ -155,12 +154,6 @@ impl ServeConfig {
     /// Sets the per-session queue bound.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the round-robin quantum.
-    pub fn quantum(mut self, quantum: u32) -> Self {
-        self.quantum = quantum;
         self
     }
 
@@ -193,8 +186,8 @@ impl ServeConfig {
     /// # Errors
     ///
     /// [`hirise::HiriseError::InvalidConfig`] for a degenerate fleet
-    /// (zero rated load, cap below rated, zero queue or quantum) or
-    /// embedded policy.
+    /// (zero rated load, cap below rated, zero queue) or embedded
+    /// policy.
     pub fn validate(&self) -> Result<()> {
         self.temporal.validate()?;
         self.shed.validate()?;
@@ -210,9 +203,6 @@ impl ServeConfig {
         }
         if self.queue_capacity == 0 {
             return Err(invalid("queue_capacity must be ≥ 1".into()));
-        }
-        if self.quantum == 0 {
-            return Err(invalid("quantum must be ≥ 1".into()));
         }
         // `!(x >= 0.0)` rather than `x < 0.0`: rejects NaN too.
         if !(self.deadline_ms >= 0.0) {
@@ -307,16 +297,22 @@ impl std::fmt::Display for ServeSummary {
 }
 
 /// One serve worker's state: the frame scratch it reuses across passes
-/// and the outcome of its band in the last pass.
-#[derive(Debug)]
+/// and what it served in the last pass.
+#[derive(Debug, Default)]
 pub(crate) struct Worker {
     scratch: PipelineScratch,
-    outcome: Result<u64>,
+    /// Frames served in the last pass.
+    served: u64,
+    /// The lowest-slot session failure of the last pass, with its slot.
+    failure: Option<(usize, HiriseError)>,
 }
 
-impl Default for Worker {
-    fn default() -> Self {
-        Self { scratch: PipelineScratch::new(), outcome: Ok(0) }
+impl Worker {
+    /// Keeps `failure` if its slot is below the one already kept.
+    fn keep_lowest(kept: &mut Option<(usize, HiriseError)>, failure: (usize, HiriseError)) {
+        if kept.as_ref().is_none_or(|(slot, _)| failure.0 < *slot) {
+            *kept = Some(failure);
+        }
     }
 }
 
@@ -339,6 +335,9 @@ pub struct ServeEngine {
     /// length is the worker count [`ServeEngine::drain`] and journal
     /// replay serve at.
     pub(crate) workers: Vec<Mutex<Worker>>,
+    /// A serve pass's claim order over the slab (slot indices), sized
+    /// for every slot at construction so a pass never allocates.
+    order: Vec<usize>,
     pub(crate) ticks: u64,
     pub(crate) admitted: u64,
     pub(crate) rejected: u64,
@@ -346,6 +345,11 @@ pub struct ServeEngine {
     pub(crate) base_level: u8,
     pub(crate) max_base_level: u8,
     pub(crate) completed: Vec<SessionReport>,
+    /// Every latency sample of `completed`, ascending, merged in at
+    /// retire so [`ServeEngine::summary`] sorts only the live samples.
+    /// Telemetry, not state: never snapshotted, and a restored engine
+    /// starts it empty, as its restored reports carry no samples.
+    completed_latency_ms: Vec<f64>,
 }
 
 impl ServeEngine {
@@ -364,6 +368,7 @@ impl ServeEngine {
             free: (0..max).rev().collect(),
             pool: ShardPool::new(1),
             workers: vec![Mutex::new(Worker::default())],
+            order: Vec::with_capacity(max),
             ticks: 0,
             admitted: 0,
             rejected: 0,
@@ -371,6 +376,7 @@ impl ServeEngine {
             base_level: 0,
             max_base_level: 0,
             completed: Vec::new(),
+            completed_latency_ms: Vec::new(),
         })
     }
 
@@ -468,7 +474,12 @@ impl ServeEngine {
         for slot in 0..self.slots.len() {
             if self.slots[slot].as_ref().is_some_and(Session::is_done) {
                 let session = self.slots[slot].take().expect("checked above");
-                self.completed.push(session.report());
+                let report = session.report();
+                // The stable sort takes the sorted history as one run, so
+                // this sorts the new window and merges it in linear time.
+                self.completed_latency_ms.extend_from_slice(&report.latency_ms);
+                self.completed_latency_ms.sort_by(f64::total_cmp);
+                self.completed.push(report);
                 self.free.push(slot);
                 self.active -= 1;
             }
@@ -476,11 +487,13 @@ impl ServeEngine {
     }
 
     /// Drains every queued frame across `workers` serve workers (the
-    /// calling thread is worker 0; `workers <= 1` runs inline). The slab
-    /// is split into contiguous slot bands, each served round-robin —
-    /// `quantum` frames per session per round — by one worker through
-    /// its own [`PipelineScratch`]. The engine keeps the worker threads
-    /// and their scratch across calls, rebuilding both only when
+    /// calling thread is worker 0; `workers <= 1` runs inline). Workers
+    /// claim sessions one at a time from one shared cursor and drain each
+    /// claimed queue through their own [`PipelineScratch`]. Sessions with
+    /// a keyframe due are claimed first (slot order within each class),
+    /// so the long frames start early and the short ones fill in behind
+    /// them. The engine keeps the worker threads, their scratch and the
+    /// claim order across calls, rebuilding the first two only when
     /// `workers` changes, so a warm engine serves without allocating.
     /// Per-session outputs are bit-identical at any worker count:
     /// sessions share no mutable state and levels were stamped at
@@ -492,64 +505,49 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// The first frame failure by worker order. A failure stops its own
-    /// band's pass (the failed frame is consumed); the other bands
-    /// still drain.
+    /// The frame failure of the lowest failing slot. A failure stops
+    /// only its own session's drain (the failed frame is consumed);
+    /// every other session still drains, so which sessions drain does
+    /// not depend on the worker count.
     pub fn serve_parallel(&mut self, workers: usize) -> Result<u64> {
         let workers = workers.max(1);
         if self.workers.len() != workers {
             self.pool = ShardPool::new(workers);
             self.workers = (0..workers).map(|_| Mutex::new(Worker::default())).collect();
         }
-        let Self { slots, config, pool, workers, .. } = self;
+        let Self { slots, config, pool, workers, order, .. } = self;
         let config = &*config;
-        let len = slots.len();
+        // Keyframe-first is a cost guess made before the frame's predict
+        // step: a wrong guess changes only which worker serves when.
+        let class = |slot: &Option<Session>| {
+            slot.as_ref().filter(|s| s.has_queued()).map(Session::keyframe_due)
+        };
         // A worker's lock is poisoned only by a panic outside every
-        // session's boundary, which `shard_rows` re-raises here. Its
+        // session's boundary, which `claim_each` re-raises here. Its
         // state stays usable: the scratch is frame-local (quarantined
         // sessions already reuse it after a mid-frame panic), and the
-        // outcome is overwritten by the next pass.
-        shard_rows(Some(&*pool), slots, len, 1, workers.len(), |worker, _, band| {
+        // outcome is taken below after every pass.
+        claim_each(pool, slots, order, workers.len(), class, |worker, claims| {
             let mut worker = workers[worker].lock().unwrap_or_else(PoisonError::into_inner);
-            let Worker { scratch, outcome } = &mut *worker;
-            *outcome = Self::serve_band(band, config, scratch);
+            let Worker { scratch, served, failure } = &mut *worker;
+            for (slot, session) in claims {
+                let session = session.as_mut().expect("only live sessions are claimed");
+                match session.drain(config, scratch) {
+                    Ok(n) => *served += n,
+                    Err(e) => Worker::keep_lowest(failure, (slot, e)),
+                }
+            }
         });
         let mut total = 0u64;
-        let mut first_error = None;
+        let mut failure = None;
         for worker in workers.iter_mut() {
             let worker = worker.get_mut().unwrap_or_else(PoisonError::into_inner);
-            match std::mem::replace(&mut worker.outcome, Ok(0)) {
-                Ok(n) => total += n,
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
+            total += std::mem::take(&mut worker.served);
+            if let Some(lost) = worker.failure.take() {
+                Worker::keep_lowest(&mut failure, lost);
             }
         }
-        first_error.map_or(Ok(total), Err)
-    }
-
-    /// One worker's round-robin loop: serves `band`'s sessions until
-    /// every queue is dry.
-    fn serve_band(
-        band: &mut [Option<Session>],
-        config: &ServeConfig,
-        scratch: &mut PipelineScratch,
-    ) -> Result<u64> {
-        let mut served = 0u64;
-        loop {
-            let mut progressed = false;
-            for session in band.iter_mut().flatten() {
-                let mut quantum = config.quantum;
-                while quantum > 0 && session.serve_one(config, scratch)? {
-                    served += 1;
-                    quantum -= 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                return Ok(served);
-            }
-        }
+        failure.map_or(Ok(total), |(_, e)| Err(e))
     }
 
     /// Runs tick/serve cycles until every admitted session has completed
@@ -574,9 +572,13 @@ impl ServeEngine {
     /// The fleet-wide summary over completed and live sessions.
     pub fn summary(&self) -> ServeSummary {
         let mut sessions = self.completed.clone();
+        let mut live_latency_ms: Vec<f64> = Vec::new();
         for session in self.slots.iter().flatten() {
-            sessions.push(session.report());
+            let report = session.report();
+            live_latency_ms.extend_from_slice(&report.latency_ms);
+            sessions.push(report);
         }
+        live_latency_ms.sort_by(f64::total_cmp);
         sessions.sort_by_key(|r| r.id);
         let mut frames = 0u64;
         let mut keyframes = 0u64;
@@ -589,7 +591,6 @@ impl ServeEngine {
         let mut max_recovery_frames = 0u32;
         let mut deadline_misses = 0u64;
         let mut max_shed_level = self.max_base_level;
-        let mut merged: Vec<f64> = Vec::new();
         for report in &sessions {
             frames += report.summary.frames;
             keyframes += report.summary.keyframes;
@@ -606,9 +607,8 @@ impl ServeEngine {
             max_recovery_frames = max_recovery_frames.max(report.max_recovery_frames);
             deadline_misses += report.deadline_misses;
             max_shed_level = max_shed_level.max(report.max_shed_level);
-            merged.extend_from_slice(&report.latency_ms);
         }
-        merged.sort_by(f64::total_cmp);
+        let percentile = |p| nearest_rank_of_two(&self.completed_latency_ms, &live_latency_ms, p);
         ServeSummary {
             ticks: self.ticks,
             admitted: self.admitted,
@@ -628,8 +628,8 @@ impl ServeEngine {
             deadline_misses,
             shed_level: self.base_level,
             max_shed_level,
-            p50_ms: crate::metrics::nearest_rank(&merged, 50.0),
-            p99_ms: crate::metrics::nearest_rank(&merged, 99.0),
+            p50_ms: percentile(50.0),
+            p99_ms: percentile(99.0),
             sessions,
         }
     }

@@ -16,9 +16,10 @@
 //!   contract `tests/alloc.rs` pins for the single-session paths.
 //! * **Scheduler**: tick-driven arrivals into bounded per-session
 //!   queues with backpressure (full queues defer, never drop), drained
-//!   deficit-round-robin — `quantum` frames per session per round — by
-//!   [`ServeEngine::serve_parallel`], inline on the caller or across
-//!   slot bands on a persistent [`hirise_sensor::ShardPool`].
+//!   by [`ServeEngine::serve_parallel`], inline on the caller or on a
+//!   persistent [`hirise_sensor::ShardPool`] whose workers claim whole
+//!   sessions from one shared cursor, sessions with a keyframe due
+//!   first, and drain each claimed queue before claiming the next.
 //! * **Admission + graceful degradation** ([`ShedPolicy`]): past the
 //!   hard cap, sessions are refused at the door; past rated load,
 //!   sessions *degrade* instead of dropping — keyframe intervals widen

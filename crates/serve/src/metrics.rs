@@ -92,6 +92,38 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, n) - 1]
 }
 
+/// [`nearest_rank`] of the union of two ascending-sorted sample sets,
+/// without merging them: bit-identical to `nearest_rank` of their
+/// sorted concatenation, in `O(log n)`.
+pub(crate) fn nearest_rank_of_two(a: &[f64], b: &[f64], p: f64) -> f64 {
+    let n = a.len() + b.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let take = (((p / 100.0) * n as f64).ceil() as usize).clamp(1, n);
+    // The `take` smallest samples are `a[..i]` and `b[..take - i]` for
+    // the least `i` at which the last `b` sample taken is no greater
+    // than the next `a` sample left out; that predicate is monotone in
+    // `i`, so bisect for it.
+    let (mut lo, mut hi) = (take.saturating_sub(b.len()), take.min(a.len()));
+    while lo < hi {
+        let i = lo + (hi - lo) / 2;
+        if b[take - i - 1].total_cmp(&a[i]).is_gt() {
+            lo = i + 1;
+        } else {
+            hi = i;
+        }
+    }
+    // The rank-th sample is the larger of the last one taken from each
+    // side. Samples equal under `total_cmp` are equal bit for bit.
+    let from_a = lo.checked_sub(1).map(|i| a[i]);
+    let from_b = (take - lo).checked_sub(1).map(|j| b[j]);
+    match (from_a, from_b) {
+        (Some(x), Some(y)) => std::cmp::max_by(x, y, f64::total_cmp),
+        (x, y) => x.or(y).expect("take ≥ 1 samples"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,6 +153,31 @@ mod tests {
         // Degenerate requests stay in range rather than indexing out.
         assert_eq!(nearest_rank(&samples, 0.0), 10.0);
         assert_eq!(nearest_rank(&samples, 200.0), 40.0);
+    }
+
+    #[test]
+    fn nearest_rank_of_two_matches_the_merged_sort_bit_for_bit() {
+        // Small integer-valued sets force ties across the two sides; the
+        // signed zeros check the `total_cmp` order.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut sample = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            [-0.0, 0.0, 1.0, 2.0, 2.5, 3.0, 7.0, 9.0][(state >> 61) as usize]
+        };
+        for la in 0..7 {
+            for lb in 0..7 {
+                let mut a: Vec<f64> = (0..la).map(|_| sample()).collect();
+                let mut b: Vec<f64> = (0..lb).map(|_| sample()).collect();
+                a.sort_by(f64::total_cmp);
+                b.sort_by(f64::total_cmp);
+                let mut merged = [a.clone(), b.clone()].concat();
+                merged.sort_by(f64::total_cmp);
+                for p in [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 100.0, 200.0] {
+                    let (got, want) = (nearest_rank_of_two(&a, &b, p), nearest_rank(&merged, p));
+                    assert_eq!(got.to_bits(), want.to_bits(), "a={a:?} b={b:?} p={p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -187,13 +187,12 @@ impl std::error::Error for ReplayError {
 /// exactly the scope a crash-restart needs — not across releases.
 pub fn config_fingerprint(config: &ServeConfig) -> u64 {
     let text = format!(
-        "{:?}|{:?}|{}|{}|{}|{}|{}|{:?}|{}",
+        "{:?}|{:?}|{}|{}|{}|{}|{:?}|{}",
         config.pipeline,
         config.temporal,
         config.rated_sessions,
         config.max_sessions,
         config.queue_capacity,
-        config.quantum,
         config.latency_window,
         config.shed,
         config.deadline_ms,

@@ -20,7 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use hirise::temporal::{TrackerCheckpoint, TrackerState, TrackingPipeline};
-use hirise::{PipelineScratch, Result, RgbImage, SequenceSummary};
+use hirise::{PipelineScratch, Result, RgbImage, RoiCrops, SequenceSummary};
 use hirise_scene::ScenarioGenerator;
 
 use crate::engine::{ServeConfig, SessionId};
@@ -226,6 +226,12 @@ pub(crate) struct Session {
     /// per tick it spends waiting for queue space.
     deferred: u64,
     ticks: u64,
+    /// The session's own ROI crop buffers, swapped into whichever
+    /// worker's scratch serves a frame: their capacities then follow
+    /// this session's ROI sizes alone, so a warmed session reads its
+    /// crops without allocating on any worker. Capacity, not state:
+    /// never snapshotted.
+    roi_crops: RoiCrops,
     /// Shed level currently built into the tracker.
     applied_level: u8,
     max_shed_level: u8,
@@ -276,6 +282,7 @@ impl Session {
             served: 0,
             deferred: 0,
             ticks: 0,
+            roi_crops: RoiCrops::default(),
             applied_level: 0,
             max_shed_level: 0,
             checkpoint: TrackerCheckpoint::new(),
@@ -296,6 +303,37 @@ impl Session {
 
     pub(crate) fn is_done(&self) -> bool {
         self.served >= self.spec.frames
+    }
+
+    /// Whether a frame waits in the queue.
+    pub(crate) fn has_queued(&self) -> bool {
+        self.queue.len > 0
+    }
+
+    /// Whether the next frame is due to be a keyframe under the
+    /// tracker's current policy — a cost guess for scheduling: the
+    /// frame's stamped shed level or its predict step may still change
+    /// the outcome.
+    pub(crate) fn keyframe_due(&self) -> bool {
+        self.tracker.keyframe_due(&self.state)
+    }
+
+    /// Serves every queued frame through `scratch`; returns how many.
+    ///
+    /// # Errors
+    ///
+    /// The first frame failure, which stops the drain (the failed frame
+    /// is consumed; later frames stay queued).
+    pub(crate) fn drain(
+        &mut self,
+        config: &ServeConfig,
+        scratch: &mut PipelineScratch,
+    ) -> Result<u64> {
+        let mut served = 0;
+        while self.serve_one(config, scratch)? {
+            served += 1;
+        }
+        Ok(served)
     }
 
     /// One engine tick: generate this tick's arrivals, then move as many
@@ -360,14 +398,16 @@ impl Session {
         let action =
             config.fault.as_deref().map_or(FaultAction::None, |f| f.action(self.id, index));
         let start = Instant::now();
-        let report =
-            match catch_unwind(AssertUnwindSafe(|| self.frame_step(action, index, scratch))) {
-                Err(_payload) => {
-                    self.quarantine();
-                    return Ok(true);
-                }
-                Ok(report) => report?,
-            };
+        scratch.swap_roi_crops(&mut self.roi_crops);
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.frame_step(action, index, scratch)));
+        scratch.swap_roi_crops(&mut self.roi_crops);
+        let report = match outcome {
+            Err(_payload) => {
+                self.quarantine();
+                return Ok(true);
+            }
+            Ok(report) => report?,
+        };
         let mut latency_ms = start.elapsed().as_secs_f64() * 1e3;
         if let FaultAction::Stall { stall_ms } = action {
             latency_ms += stall_ms;

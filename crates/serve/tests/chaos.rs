@@ -53,7 +53,6 @@ fn serve_config(rated: usize) -> ServeConfig {
         .rated_sessions(rated)
         .max_sessions(4 * rated)
         .queue_capacity(4)
-        .quantum(2)
         .latency_window(64)
 }
 

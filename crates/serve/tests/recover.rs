@@ -39,7 +39,6 @@ fn serve_config(rated: usize) -> ServeConfig {
         .rated_sessions(rated)
         .max_sessions(4 * rated)
         .queue_capacity(4)
-        .quantum(2)
         .latency_window(64)
 }
 
@@ -341,7 +340,7 @@ fn restore_refuses_a_config_fingerprint_mismatch() {
     run_plans_journaled(&mut engine, &plans, &factory, &mut journal, 0, 1, &mut |t| t >= 3)
         .unwrap();
     let snapshot = engine.snapshot();
-    let drifted = serve_config(2).quantum(3);
+    let drifted = serve_config(2).queue_capacity(5);
     match ServeEngine::restore(&snapshot, drifted, &factory) {
         Err(RestoreError::ConfigMismatch { snapshot: s, config: c }) => assert_ne!(s, c),
         other => panic!("expected ConfigMismatch, got {other:?}"),

@@ -5,8 +5,8 @@
 use hirise::{HiriseConfig, SensorConfig, TemporalConfig};
 use hirise_imaging::{draw, Rect, RgbImage};
 use hirise_serve::{
-    generate, run_plans, AdmitError, FrameSource, Priority, ServeConfig, ServeEngine, SessionSpec,
-    TrafficConfig,
+    generate, nearest_rank, run_plans, AdmitError, FrameSource, Priority, ServeConfig, ServeEngine,
+    ServeSummary, SessionSpec, TrafficConfig,
 };
 
 const W: u32 = 64;
@@ -45,7 +45,6 @@ fn serve_config(rated: usize) -> ServeConfig {
         .rated_sessions(rated)
         .max_sessions(4 * rated)
         .queue_capacity(4)
-        .quantum(2)
         .latency_window(64)
 }
 
@@ -218,7 +217,7 @@ fn per_session_outputs_are_invariant_to_worker_count() {
         assert!(serial.sessions.iter().all(|s| s.summary.aggregate.rois > 0), "{input}: no ROIs");
         for &sensor in sensors {
             let shards = sensor.shards;
-            for workers in [1, 2, 4] {
+            for workers in [1, 2, 3, 4] {
                 let parallel = run_fleet_with(sensor, |e| e.serve_parallel(workers));
                 assert_eq!(parallel.sessions.len(), serial.sessions.len());
                 for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
@@ -269,4 +268,140 @@ fn traffic_driven_stress_run_completes_everything() {
     for (a, b) in second.sessions.iter().zip(&summary.sessions) {
         assert_eq!(a.summary, b.summary);
     }
+}
+
+/// Runs a fleet that keeps `live` sessions in the slab, admitting a
+/// replacement (from `total` specs of mixed lengths) whenever one
+/// retires, and serves every tick at `workers`. The free list hands out
+/// the most recently freed slot, so the live sessions stay in the low
+/// slots of a slab twice their size while the high slots sit empty.
+fn run_crowded_fleet(workers: usize, live: usize, total: usize) -> ServeSummary {
+    let mut engine = ServeEngine::new(serve_config(4).max_sessions(2 * live)).unwrap();
+    let mut admitted = 0;
+    loop {
+        while engine.active_sessions() < live && admitted < total {
+            let spec = SessionSpec::default()
+                .name(format!("c{admitted}"))
+                .frames(3 + 4 * (admitted as u32 % 4))
+                .frames_per_tick(1 + admitted as u32 % 2);
+            engine.admit(spec, FrameSource::Frames(clip(8, admitted as u32))).unwrap();
+            admitted += 1;
+        }
+        engine.tick();
+        if engine.active_sessions() == 0 && admitted == total {
+            return engine.summary();
+        }
+        engine.serve_parallel(workers).unwrap();
+    }
+}
+
+#[test]
+fn per_session_outputs_are_invariant_to_worker_count_with_crowded_low_slots() {
+    // Replacements reuse low slots, so a static split of the slab into
+    // bands would hand one worker nearly every live session. Claims
+    // balance that; the outputs must not notice either way.
+    let serial = run_crowded_fleet(1, 6, 20);
+    assert_eq!(serial.completed, 20);
+    assert!(serial.keyframes > 0 && serial.tracked_frames > 0);
+    for workers in [2, 3, 4] {
+        let parallel = run_crowded_fleet(workers, 6, 20);
+        assert_eq!(parallel.sessions.len(), serial.sessions.len());
+        for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
+            assert_eq!(p.id, s.id);
+            assert_eq!(p.summary, s.summary, "session {} diverged at {workers} workers", s.name);
+            assert_eq!(p.deferred, s.deferred);
+            assert_eq!(p.max_shed_level, s.max_shed_level);
+        }
+        assert_eq!(parallel.energy_mj.to_bits(), serial.energy_mj.to_bits());
+    }
+}
+
+/// A clip-backed source whose frame `bad_frame` comes out `size`×`size`
+/// instead of the array's size.
+fn failing_source(phase: u32, bad_frame: u32, size: u32) -> FrameSource {
+    let frames = clip(8, phase);
+    FrameSource::Generated(Box::new(move |i| {
+        if i == bad_frame {
+            RgbImage::from_fn(size, size, |_, _| (0.5, 0.5, 0.5))
+        } else {
+            frames[i as usize % frames.len()].clone()
+        }
+    }))
+}
+
+/// Serves a fleet in which the sessions in slots 2 and 5 fail on their
+/// frame 3 (with different wrong sizes) for a fixed number of ticks.
+/// Returns every pass's outcome and the final summary.
+fn run_failing_fleet(workers: usize) -> (Vec<Result<u64, String>>, ServeSummary) {
+    let mut engine = ServeEngine::new(serve_config(8)).unwrap();
+    for i in 0..8u32 {
+        let spec = SessionSpec::default().name(format!("f{i}")).frames(12).frames_per_tick(2);
+        let source = match i {
+            2 => failing_source(i, 3, 16),
+            5 => failing_source(i, 3, 24),
+            _ => FrameSource::Frames(clip(8, i)),
+        };
+        engine.admit(spec, source).unwrap();
+    }
+    let outcomes = (0..10)
+        .map(|_| {
+            engine.tick();
+            engine.serve_parallel(workers).map_err(|e| e.to_string())
+        })
+        .collect();
+    (outcomes, engine.summary())
+}
+
+#[test]
+fn frame_failures_are_deterministic_across_worker_counts() {
+    // A failure stops only its own session's drain, and the pass
+    // reports the lowest failing slot's error: neither which sessions
+    // drain nor which error comes back depends on the worker count.
+    let (outcomes, serial) = run_failing_fleet(1);
+    let failed: Vec<&String> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
+    assert_eq!(failed.len(), 1, "both bad frames are served in the same pass: {outcomes:?}");
+    assert_eq!(failed[0], "scene is 16x16 but the pixel array is 64x48", "lowest slot wins");
+    for report in &serial.sessions {
+        let healthy = !matches!(report.name.as_str(), "f2" | "f5");
+        assert_eq!(report.completed, healthy, "session {}", report.name);
+    }
+    for workers in [2, 4] {
+        let (parallel_outcomes, parallel) = run_failing_fleet(workers);
+        assert_eq!(parallel_outcomes, outcomes, "{workers} workers");
+        for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
+            assert_eq!(p.id, s.id);
+            assert_eq!(p.summary, s.summary, "session {} diverged at {workers} workers", s.name);
+            assert_eq!(p.deferred, s.deferred);
+        }
+    }
+}
+
+#[test]
+fn summary_percentiles_match_a_full_merge_and_sort() {
+    // `summary()` keeps the retired sessions' samples pre-sorted and
+    // sorts only the live ones; its percentiles must equal the naive
+    // merge-and-sort of every report's window, bit for bit, at every
+    // point of a run with retirements.
+    let mut engine = ServeEngine::new(serve_config(4)).unwrap();
+    let plans = generate(&TrafficConfig::default().sessions(10).seed(3));
+    let mut next = 0;
+    let mut checked_with_retired = false;
+    while next < plans.len() || engine.active_sessions() > 0 {
+        while next < plans.len() && plans[next].at_tick <= engine.ticks() {
+            let plan = &plans[next];
+            let source = hirise_serve::source_for(&plan.spec, W, H).unwrap();
+            let _ = engine.admit(plan.spec.clone(), source);
+            next += 1;
+        }
+        engine.tick();
+        engine.serve_parallel(2).unwrap();
+        let summary = engine.summary();
+        let mut merged: Vec<f64> =
+            summary.sessions.iter().flat_map(|r| r.latency_ms.iter().copied()).collect();
+        merged.sort_by(f64::total_cmp);
+        assert_eq!(summary.p50_ms.to_bits(), nearest_rank(&merged, 50.0).to_bits());
+        assert_eq!(summary.p99_ms.to_bits(), nearest_rank(&merged, 99.0).to_bits());
+        checked_with_retired |= summary.completed > 0 && summary.active > 0;
+    }
+    assert!(checked_with_retired, "no poll saw retired and live sessions together");
 }

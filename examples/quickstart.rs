@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", run.report);
 
-    let baseline = ConventionalPipeline::new(SensorConfig::default());
+    let baseline = ConventionalPipeline::new(SensorConfig::default())?;
     let (_, base_report) = baseline.run(&scene.image);
     println!(
         "conventional baseline: transfer {:.1} kB, energy {:.3} mJ",

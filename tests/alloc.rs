@@ -6,13 +6,17 @@
 //! per frame**, while the legacy allocating path (`run`) pays thousands.
 //!
 //! The counter is process-wide, so allocations on shard-pool and serve
-//! worker threads count as well as the caller's. Every test holds
-//! [`SERIAL`] for its whole body, so the libtest harness (which runs
-//! tests on parallel threads) cannot perturb another test's count.
+//! worker threads count as well as the caller's. That is also why this
+//! suite has its own `main` (`harness = false`) that runs the tests one
+//! after another on the main thread: under libtest, the harness's own
+//! threads (result reporting, spawning the next test) allocate while
+//! another test measures. `main` prints libtest's line format and takes
+//! its substring filter and `--list`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use hirise::{HiriseConfig, HirisePipeline, PipelineScratch, SensorConfig};
 use hirise_imaging::{draw, Rect, RgbImage};
@@ -23,14 +27,6 @@ use hirise_imaging::{draw, Rect, RgbImage};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Held by every test for its whole body: one measurement at a time.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    // A failed test poisons the lock; the next test still measures.
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn bump() {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
@@ -104,9 +100,7 @@ fn pipeline() -> HirisePipeline {
     HirisePipeline::new(config)
 }
 
-#[test]
 fn scratch_path_is_allocation_free_after_warmup() {
-    let _serial = serial();
     let pipeline = pipeline();
     let frames: Vec<RgbImage> = (0..8).map(|i| scene(192, 144, i)).collect();
     let mut scratch = PipelineScratch::new();
@@ -136,9 +130,7 @@ fn scratch_path_is_allocation_free_after_warmup() {
     }
 }
 
-#[test]
 fn keyed_row_sharded_path_is_allocation_free_after_warmup() {
-    let _serial = serial();
     // The row-sharded keyed frame path must preserve the zero-allocation
     // contract: the shard workers are spawned once (during warm-up, when
     // the scratch sensor is first built) and every later dispatch hands
@@ -167,9 +159,7 @@ fn keyed_row_sharded_path_is_allocation_free_after_warmup() {
     }
 }
 
-#[test]
 fn tracked_non_keyframes_are_allocation_free_after_warmup() {
-    let _serial = serial();
     // The temporal pipeline's whole point is that non-keyframes are
     // cheap: capture + predicted-ROI readout only. That steady state
     // must also uphold the zero-allocation contract — tracks, candidate
@@ -221,9 +211,7 @@ fn tracked_non_keyframes_are_allocation_free_after_warmup() {
     assert!(tracked >= 4, "too few tracked frames measured ({tracked})");
 }
 
-#[test]
 fn tracked_frames_stay_allocation_free_on_a_defect_heavy_scenario() {
-    let _serial = serial();
     // The defect-heavy fleet scenario (hot pixels stuck bright + per-row
     // keyed noise) is the adversarial input for the tracked path: extra
     // high-contrast features and row-correlated noise must not push any
@@ -270,9 +258,7 @@ fn tracked_frames_stay_allocation_free_on_a_defect_heavy_scenario() {
     assert!(tracked >= 4, "too few tracked frames measured ({tracked})");
 }
 
-#[test]
 fn legacy_path_allocation_count_is_documented() {
-    let _serial = serial();
     let pipeline = pipeline();
     let frame = scene(192, 144, 0);
     // One throwaway run so lazy one-time setup doesn't skew the count.
@@ -292,9 +278,7 @@ fn legacy_path_allocation_count_is_documented() {
     );
 }
 
-#[test]
 fn detector_scratch_alone_is_allocation_free() {
-    let _serial = serial();
     use hirise_detect::{Detector, DetectorScratch};
     use hirise_imaging::{color, Image};
 
@@ -315,18 +299,20 @@ fn detector_scratch_alone_is_allocation_free() {
     }
 }
 
-#[test]
 fn serve_engine_steady_state_is_allocation_free_per_tick() {
-    let _serial = serial();
     // The serve layer's tentpole memory claim: a warmed engine serving
     // clip-backed sessions at constant shed level runs whole tick
     // cycles — retire scan, load/shed computation, arrivals into the
-    // bounded queues, and round-robin frame serving — without touching
-    // the heap on any thread. Frames are borrowed from the clips
+    // bounded queues, and claimed frame serving — without touching the
+    // heap on any thread. Frames are borrowed from the clips
     // (Cow::Borrowed), the queues and latency reservoirs are
-    // preallocated rings, and the engine keeps its worker threads and
-    // one PipelineScratch per worker across ticks. Two workers split
-    // the two-slot slab one session each, so the pool worker serves too.
+    // preallocated rings, and the engine keeps its worker threads, one
+    // PipelineScratch per worker and its claim order across ticks. Three
+    // sessions outnumber both worker counts, so at two workers the pool
+    // worker claims sessions alongside the caller, and which worker
+    // serves a session changes from tick to tick: each session carries
+    // its own ROI crop buffers, so no scratch meets crop sizes it has
+    // not grown to.
     use hirise::TemporalConfig;
     use hirise_serve::{FrameSource, ServeConfig, ServeEngine, SessionSpec};
 
@@ -345,10 +331,10 @@ fn serve_engine_steady_state_is_allocation_free_per_tick() {
         // policy swap rebuilds a pipeline.
         let config = ServeConfig::new(pipeline.clone())
             .temporal(TemporalConfig::default().keyframe_interval(4).drift_threshold(1.0))
-            .rated_sessions(2)
-            .max_sessions(2);
+            .rated_sessions(3)
+            .max_sessions(3);
         let mut engine = ServeEngine::new(config).unwrap();
-        for s in 0..2u32 {
+        for s in 0..3u32 {
             // Sessions far longer than the test: nothing retires
             // (retiring legitimately allocates its report) and the clip
             // cycles.
@@ -381,8 +367,101 @@ fn serve_engine_steady_state_is_allocation_free_per_tick() {
             }
         }
         let summary = engine.summary();
-        assert_eq!(summary.frames, 2 * 28, "both sessions should have served one frame per tick");
+        assert_eq!(summary.frames, 3 * 28, "every session should have served one frame per tick");
         assert_eq!(summary.dropped, 0);
         assert_eq!(summary.max_shed_level, 0, "a fleet at rated load must not shed");
+    }
+}
+
+/// The suite, in run order.
+const TESTS: &[(&str, fn())] = &[
+    ("detector_scratch_alone_is_allocation_free", detector_scratch_alone_is_allocation_free),
+    (
+        "keyed_row_sharded_path_is_allocation_free_after_warmup",
+        keyed_row_sharded_path_is_allocation_free_after_warmup,
+    ),
+    ("legacy_path_allocation_count_is_documented", legacy_path_allocation_count_is_documented),
+    ("scratch_path_is_allocation_free_after_warmup", scratch_path_is_allocation_free_after_warmup),
+    (
+        "serve_engine_steady_state_is_allocation_free_per_tick",
+        serve_engine_steady_state_is_allocation_free_per_tick,
+    ),
+    (
+        "tracked_frames_stay_allocation_free_on_a_defect_heavy_scenario",
+        tracked_frames_stay_allocation_free_on_a_defect_heavy_scenario,
+    ),
+    (
+        "tracked_non_keyframes_are_allocation_free_after_warmup",
+        tracked_non_keyframes_are_allocation_free_after_warmup,
+    ),
+];
+
+/// libtest's options that take a value (skipped, not read as filters).
+const VALUE_FLAGS: &[&str] =
+    &["--test-threads", "--format", "--color", "--logfile", "--shuffle-seed", "-Z"];
+
+/// Runs [`TESTS`] one at a time on this thread and reports them the way
+/// libtest does. Understands name filters, `--exact`, `--skip NAME` and
+/// `--list`; other libtest flags are accepted and ignored. Exits 101 if
+/// a test fails.
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let (mut filters, mut skips) = (Vec::new(), Vec::new());
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if arg == "--skip" {
+            skips.extend(rest.next());
+        } else if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next();
+        } else if !arg.starts_with('-') {
+            filters.push(arg.as_str());
+        }
+    }
+    let matches = |name: &str, pattern: &str| {
+        if flag("--exact") {
+            name == pattern
+        } else {
+            name.contains(pattern)
+        }
+    };
+    let selected: Vec<&(&str, fn())> = TESTS
+        .iter()
+        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| matches(name, f)))
+        .filter(|(name, _)| !skips.iter().any(|s| matches(name, s)))
+        .collect();
+    if flag("--list") {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        return;
+    }
+    println!("\nrunning {} tests", selected.len());
+    let start = Instant::now();
+    let mut failed = Vec::new();
+    for &&(name, test) in &selected {
+        let ok = catch_unwind(AssertUnwindSafe(test)).is_ok();
+        println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+        if !ok {
+            failed.push(name);
+        }
+    }
+    if !failed.is_empty() {
+        println!("\nfailures:");
+        for name in &failed {
+            println!("    {name}");
+        }
+    }
+    println!(
+        "\ntest result: {}. {} passed; {} failed; 0 ignored; 0 measured; {} filtered out; \
+         finished in {:.2}s\n",
+        if failed.is_empty() { "ok" } else { "FAILED" },
+        selected.len() - failed.len(),
+        failed.len(),
+        TESTS.len() - selected.len(),
+        start.elapsed().as_secs_f64()
+    );
+    if !failed.is_empty() {
+        std::process::exit(101);
     }
 }

@@ -45,7 +45,7 @@ fn hirise_beats_conventional_on_every_cost() {
     let pipeline = HirisePipeline::new(config);
     let run = pipeline.run(&scene.image).unwrap();
 
-    let baseline = ConventionalPipeline::new(SensorConfig::default());
+    let baseline = ConventionalPipeline::new(SensorConfig::default()).unwrap();
     let (_, base) = baseline.run(&scene.image);
 
     assert!(run.report.conversions() < base.conversions());
@@ -64,7 +64,8 @@ fn in_sensor_and_in_processor_images_agree_with_real_noise() {
     let (in_sensor, _, _) = pipeline.run_stage1(&scene.image).unwrap();
 
     let in_proc_pipeline =
-        InProcessorPipeline::new(SensorConfig::default(), 4, ColorMode::Rgb, Detector::default());
+        InProcessorPipeline::new(SensorConfig::default(), 4, ColorMode::Rgb, Detector::default())
+            .unwrap();
     let (in_proc, _) = in_proc_pipeline.scaled_capture(&scene.image).unwrap();
 
     let a = in_sensor.as_rgb().unwrap();
