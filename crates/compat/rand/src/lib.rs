@@ -15,7 +15,8 @@
 //! position-keyable draws — the engine behind the sensor's noise) and
 //! the Ziggurat [`StandardNormal`] sampler with the
 //! batched [`distributions::fill_normals`] entry point (the
-//! `rand_distr::StandardNormal` analogue).
+//! `rand_distr::StandardNormal` analogue) and the keyed row kernel
+//! [`distributions::NormalSampler::fill_keyed`].
 //!
 //! [`rand`]: https://docs.rs/rand/0.8
 //! [`Standard`]: distributions::Standard

@@ -3,16 +3,23 @@
 
 use crate::{RngCore, SeedableRng};
 
+/// The two multipliers of [`mix64`].
+pub(crate) const MIX_MUL: [u64; 2] = [0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB];
+
 /// SplitMix64 finalizer: a full-avalanche 64-bit mixing function.
 #[inline]
 pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z = (z ^ (z >> 30)).wrapping_mul(MIX_MUL[0]);
+    z = (z ^ (z >> 27)).wrapping_mul(MIX_MUL[1]);
     z ^ (z >> 31)
 }
 
 /// Weyl increment (the SplitMix64 golden-ratio constant).
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Odd multiplier spreading a stream id before [`KeyedRng::for_stream`]
+/// mixes it into the key.
+pub(crate) const STREAM_MUL: u64 = 0xA24B_AED4_963E_E407;
 
 /// The workspace's standard generator: **xoshiro256++** state seeded
 /// through SplitMix64.
@@ -104,7 +111,7 @@ impl KeyedRng {
     /// reproduce the same draws; distinct streams are decorrelated.
     #[inline]
     pub fn for_stream(key: u64, stream: u64) -> Self {
-        Self { key: key ^ mix64(stream.wrapping_mul(0xA24B_AED4_963E_E407) ^ GOLDEN), counter: 0 }
+        Self { key: key ^ mix64(stream.wrapping_mul(STREAM_MUL) ^ GOLDEN), counter: 0 }
     }
 
     /// Derives a top-level key from a seed and a coarse stream index

@@ -4,7 +4,7 @@
 use hirise_imaging::{Plane, Rect, RgbImage};
 use rand::distributions::NormalSampler;
 
-use crate::noise::{self, domain};
+use crate::noise::{self, domain, ROW_CHUNK};
 use crate::pixel::PixelParams;
 use crate::shard::{shard_rows, ShardPool};
 
@@ -18,10 +18,18 @@ use crate::shard::{shard_rows, ShardPool};
 /// stores the already-scaled `σ · mismatch(…)` terms — 8 bytes per
 /// sub-pixel per *active* mismatch kind (a kind whose sigma is zero gets
 /// no table at all) — turning the steady-state refill into a pure
-/// multiply–add pass. It is bounded ([`FpnCache::MAX_SITES`]) so
-/// paper-scale arrays (2560×1920) do not pin hundreds of megabytes;
-/// above the bound the mismatch terms are recomputed per refill exactly
-/// as before.
+/// multiply–add pass. The tables are filled by the keyed row kernel.
+/// It is bounded ([`FpnCache::MAX_SITES`]) so paper-scale arrays
+/// (2560×1920) do not pin hundreds of megabytes; above the bound the
+/// mismatch terms are recomputed per refill by the same kernel
+/// ([`PixelArray::fill_band_keyed`]).
+///
+/// The cache still pays where it applies, even against the batched
+/// draws. A steady-state refill on one thread of a 2-vCPU Sapphire
+/// Rapids VM (medians of 150, three reps): 640×480 takes 1.9–2.1 ms
+/// cached against 8.9–9.0 ms redrawn by the kernel, and 256×192 takes
+/// 0.15–0.20 ms against 1.37–1.56 ms. Building the VGA tables (the first
+/// capture) fell from 19.7–21.9 ms with per-site draws to 13.5–14.5 ms.
 #[derive(Debug, Clone, Default)]
 struct FpnCache {
     key: Option<(u64, u32, u32)>,
@@ -45,27 +53,20 @@ impl FpnCache {
         if self.key == Some((seed, w, h)) {
             return;
         }
-        let sites = w as usize * h as usize;
-        let need_prnu = params.prnu_sigma != 0.0;
-        let need_dsnu = params.dsnu_sigma != 0.0;
-        self.prnu.clear();
-        self.dsnu.clear();
-        if need_prnu {
-            self.prnu.reserve(3 * sites);
-        }
-        if need_dsnu {
-            self.dsnu.reserve(3 * sites);
-        }
+        let sites = 3 * w as usize * h as usize;
         let sampler = NormalSampler::new();
         let key = noise::fpn_key(seed);
-        for site in 0..3 * sites as u64 {
-            if need_prnu {
-                let g = noise::site_normal(&sampler, key, noise::stream(domain::FPN_PRNU, site));
-                self.prnu.push(params.prnu_sigma * g);
-            }
-            if need_dsnu {
-                let g = noise::site_normal(&sampler, key, noise::stream(domain::FPN_DSNU, site));
-                self.dsnu.push(params.dsnu_sigma * g);
+        for (table, sigma, kind) in [
+            (&mut self.prnu, params.prnu_sigma, domain::FPN_PRNU),
+            (&mut self.dsnu, params.dsnu_sigma, domain::FPN_DSNU),
+        ] {
+            table.clear();
+            if sigma != 0.0 {
+                table.resize(sites, 0.0);
+                sampler.fill_keyed(key, noise::stream(kind, 0), table);
+                for g in table.iter_mut() {
+                    *g *= sigma;
+                }
             }
         }
         self.key = Some((seed, w, h));
@@ -218,7 +219,10 @@ impl PixelArray {
     }
 
     /// Uncached fixed pattern: a position-keyed Ziggurat Gaussian per
-    /// sub-pixel, matching what [`FpnCache::ensure`] would tabulate.
+    /// sub-pixel and mismatch kind, drawn by the keyed row kernel
+    /// [`ROW_CHUNK`] sites at a time — what [`FpnCache::ensure`] would
+    /// tabulate.
+    // lint: zero-alloc
     fn fill_band_keyed(
         src_band: &[f32],
         dst_band: &mut [f32],
@@ -230,21 +234,21 @@ impl PixelArray {
     ) {
         let sampler = NormalSampler::new();
         let key = noise::fpn_key(seed);
-        for (i, (&irr, out)) in src_band.iter().zip(dst_band.iter_mut()).enumerate() {
-            let site = (first_site + i) as u64;
-            let prnu = if need_prnu {
-                params.prnu_sigma
-                    * noise::site_normal(&sampler, key, noise::stream(domain::FPN_PRNU, site))
-            } else {
-                0.0
-            };
-            let dsnu = if need_dsnu {
-                params.dsnu_sigma
-                    * noise::site_normal(&sampler, key, noise::stream(domain::FPN_DSNU, site))
-            } else {
-                0.0
-            };
-            *out = params.voltage_with_mismatch(irr, prnu, dsnu) as f32;
+        let (mut prnu, mut dsnu) = ([0.0; ROW_CHUNK], [0.0; ROW_CHUNK]);
+        let chunks = src_band.chunks(ROW_CHUNK).zip(dst_band.chunks_mut(ROW_CHUNK));
+        for (c, (src, dst)) in chunks.enumerate() {
+            let (site, n) = ((first_site + c * ROW_CHUNK) as u64, src.len());
+            if need_prnu {
+                sampler.fill_keyed(key, noise::stream(domain::FPN_PRNU, site), &mut prnu[..n]);
+            }
+            if need_dsnu {
+                sampler.fill_keyed(key, noise::stream(domain::FPN_DSNU, site), &mut dsnu[..n]);
+            }
+            for (((&irr, out), &p), &d) in src.iter().zip(dst.iter_mut()).zip(&prnu).zip(&dsnu) {
+                let prnu = if need_prnu { params.prnu_sigma * p } else { 0.0 };
+                let dsnu = if need_dsnu { params.dsnu_sigma * d } else { 0.0 };
+                *out = params.voltage_with_mismatch(irr, prnu, dsnu) as f32;
+            }
         }
     }
 
@@ -488,6 +492,51 @@ mod tests {
         for (i, &v) in direct.iter().enumerate() {
             let (x, y) = ((i % wz) as u32, (1 + i / wz) as u32);
             assert_eq!(v as f64, arr.voltage(1, x, y), "({x},{y})");
+        }
+    }
+
+    #[test]
+    fn keyed_fixed_pattern_matches_per_site_draws() {
+        // The uncached band and the cache tables, both drawn by the row
+        // kernel, against one generator per sub-pixel, with each mismatch
+        // kind off in turn. A 301-site band spans two kernel chunks and
+        // ends on a partial vector.
+        let (w, h, seed) = (43u32, 7u32, 21u64);
+        let scene = RgbImage::from_fn(w, h, |x, y| (x as f32 / 43.0, y as f32 / 7.0, 0.5));
+        let sampler = NormalSampler::new();
+        let key = noise::fpn_key(seed);
+        let sites = (w * h) as usize;
+        let src = scene.planes()[2].as_slice();
+        for (prnu_sigma, dsnu_sigma) in [(0.005, 0.5e-3), (0.0, 0.5e-3), (0.005, 0.0)] {
+            let p = PixelParams { prnu_sigma, dsnu_sigma, ..PixelParams::default() };
+            let mismatch = |kind: u64, sigma: f64, site: usize| {
+                let stream = noise::stream(kind, site as u64);
+                if sigma != 0.0 {
+                    sigma * noise::site_normal(&sampler, key, stream)
+                } else {
+                    0.0
+                }
+            };
+            let mut band = vec![0.0f32; sites];
+            let (need_prnu, need_dsnu) = (prnu_sigma != 0.0, dsnu_sigma != 0.0);
+            PixelArray::fill_band_keyed(src, &mut band, &p, seed, 2 * sites, need_prnu, need_dsnu);
+            let mut cache = FpnCache::default();
+            cache.ensure(seed, w, h, &p);
+            assert_eq!(cache.prnu.len(), if need_prnu { 3 * sites } else { 0 });
+            assert_eq!(cache.dsnu.len(), if need_dsnu { 3 * sites } else { 0 });
+            for (i, (&irr, &got)) in src.iter().zip(&band).enumerate() {
+                let site = 2 * sites + i;
+                let prnu = mismatch(domain::FPN_PRNU, prnu_sigma, site);
+                let dsnu = mismatch(domain::FPN_DSNU, dsnu_sigma, site);
+                let want = p.voltage_with_mismatch(irr, prnu, dsnu) as f32;
+                assert_eq!(got.to_bits(), want.to_bits(), "{p:?} site {site}");
+                if need_prnu {
+                    assert_eq!(cache.prnu[site].to_bits(), prnu.to_bits(), "prnu site {site}");
+                }
+                if need_dsnu {
+                    assert_eq!(cache.dsnu[site].to_bits(), dsnu.to_bits(), "dsnu site {site}");
+                }
+            }
         }
     }
 

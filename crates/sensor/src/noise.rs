@@ -10,11 +10,23 @@
 //! order) with bit-identical results. Overlapping ROI readouts of one
 //! request see the same pixel values, so the ROI kernel converts the
 //! union of the boxes once (later crops copy the runs earlier ones hold)
-//! and row-shards each crop like a capture. The Ziggurat common case is
-//! one `u64` block and one multiply per draw, with the sign applied
-//! branch-free. That matters most where the fixed pattern is too large
-//! to cache (`FpnCache::MAX_SITES`, 1 Mi sites): a 2560×1920 capture
-//! redraws it from 29.5 M keyed draws per frame.
+//! and row-shards each crop like a capture.
+//!
+//! Every path draws its noise `ROW_CHUNK` (256) sites at a time into stack
+//! buffers through the keyed row kernel
+//! ([`NormalSampler::fill_keyed`] and
+//! [`NormalSampler::fill_keyed_pairs`]). Consecutive sites are
+//! consecutive streams, so on a CPU with AVX-512F and AVX-512DQ the
+//! kernel hashes eight sites' words and runs the Ziggurat fast path
+//! (one block, one multiply, the sign applied branch-free) per vector;
+//! the ~1.2 % of draws that miss are drawn again per site from their own
+//! streams, and every bit equals the per-site loop, which is the
+//! fallback elsewhere. That matters most where the fixed pattern is too
+//! large to cache (`FpnCache::MAX_SITES`, 1 Mi sites): a 2560×1920
+//! capture redraws it from 29.5 M keyed draws per frame. On one thread
+//! of a 2-vCPU Sapphire Rapids VM those take 100–113 ms through the
+//! kernel against 203–240 ms per site (1.8–2.4×, five interleaved
+//! reps); a two-draw row (ROI, full read, pool) gains 1.8–1.9×.
 //!
 //! The key layout: a per-readout key is derived from
 //! `(noise seed, op counter)` with `frame_key`; each individual draw
@@ -72,11 +84,55 @@ pub(crate) fn fpn_key(seed: u64) -> u64 {
     KeyedRng::derive_key(seed, 0)
 }
 
-/// One standard-normal draw for a `(key, stream)` position — the unit
-/// of noise.
-#[inline]
+/// One standard-normal draw for a `(key, stream)` position, one site at
+/// a time: the per-site oracle the row-kernel readouts are tested
+/// against.
+#[cfg(test)]
 pub(crate) fn site_normal(sampler: &NormalSampler, key: u64, stream_id: u64) -> f64 {
     sampler.sample(&mut KeyedRng::for_stream(key, stream_id))
+}
+
+/// Sites per call of the keyed row kernel: readout paths draw a row's
+/// noise this many sites at a time into fixed stack buffers, so the
+/// frame path allocates nothing.
+pub(crate) const ROW_CHUNK: usize = 256;
+
+/// Stack buffers for the noise of one row chunk whose sites take up to
+/// two draws each — read noise (or pooling noise) and then ADC noise.
+pub(crate) struct RowNoise {
+    first: [f64; ROW_CHUNK],
+    second: [f64; ROW_CHUNK],
+}
+
+impl RowNoise {
+    pub(crate) fn new() -> Self {
+        Self { first: [0.0; ROW_CHUNK], second: [0.0; ROW_CHUNK] }
+    }
+
+    /// Draws the noise of `n ≤ ROW_CHUNK` sites on the consecutive
+    /// streams from `first_stream`, exactly as a per-site loop would:
+    /// each site's generator gives term `a` its first normal when
+    /// `with_a`, then term `b` its next normal when `with_b`. Returns the
+    /// `n` values of each term; a term that is off holds stale values and
+    /// must not be read.
+    pub(crate) fn draw(
+        &mut self,
+        sampler: &NormalSampler,
+        key: u64,
+        first_stream: u64,
+        n: usize,
+        with_a: bool,
+        with_b: bool,
+    ) -> (&[f64], &[f64]) {
+        let (a, b) = (&mut self.first[..n], &mut self.second[..n]);
+        match (with_a, with_b) {
+            (true, true) => sampler.fill_keyed_pairs(key, first_stream, a, b),
+            (true, false) => sampler.fill_keyed(key, first_stream, a),
+            (false, true) => sampler.fill_keyed(key, first_stream, b),
+            (false, false) => {}
+        }
+        (a, b)
+    }
 }
 
 #[cfg(test)]

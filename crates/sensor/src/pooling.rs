@@ -14,11 +14,10 @@
 
 use hirise_imaging::Plane;
 use rand::distributions::NormalSampler;
-use rand::rngs::KeyedRng;
 
 use crate::adc::Adc;
 use crate::array::PixelArray;
-use crate::noise::{self, domain};
+use crate::noise::{self, domain, RowNoise, ROW_CHUNK};
 use crate::shard::{shard_rows, SendPtr, ShardPool};
 use crate::{Result, SensorError};
 
@@ -251,22 +250,33 @@ fn pool_fused<M: Fn(usize, usize) -> f64 + Sync>(
         // outlives the sharded run.
         let oband =
             unsafe { std::slice::from_raw_parts_mut(out_base.get().add(oy0 * oww), aband.len()) };
+        let mut noise = RowNoise::new();
         for (dy, (arow, orow)) in
             aband.chunks_exact_mut(oww).zip(oband.chunks_exact_mut(oww)).enumerate()
         {
             let oy = oy0 + dy;
             let y0 = oy * ku;
             let row_site = (oy * oww) as u64;
-            for (ox, (site, o)) in arow.iter_mut().zip(orow.iter_mut()).enumerate() {
-                let mut v = cfg.transfer(site_mean(y0, ox * ku), params.v_dark, params.v_sat);
-                let mut rng = KeyedRng::for_stream(key, noise::stream(dom, row_site + ox as u64));
-                if sigma > 0.0 {
-                    v += sigma * sampler.sample(&mut rng);
+            let chunks = arow.chunks_mut(ROW_CHUNK).zip(orow.chunks_mut(ROW_CHUNK));
+            for (c, (arow, orow)) in chunks.enumerate() {
+                let ox0 = c * ROW_CHUNK;
+                let first = noise::stream(dom, row_site + ox0 as u64);
+                let (pool_g, adc_g) =
+                    noise.draw(&sampler, key, first, arow.len(), sigma > 0.0, adc_sigma > 0.0);
+                let draws = pool_g.iter().zip(adc_g);
+                for (i, ((site, o), (&p, &g))) in
+                    arow.iter_mut().zip(orow.iter_mut()).zip(draws).enumerate()
+                {
+                    let mean = site_mean(y0, (ox0 + i) * ku);
+                    let mut v = cfg.transfer(mean, params.v_dark, params.v_sat);
+                    if sigma > 0.0 {
+                        v += sigma * p;
+                    }
+                    let av = v as f32;
+                    *site = av;
+                    let g = if adc_sigma > 0.0 { g } else { 0.0 };
+                    *o = adc.code_to_unit(adc.convert_with_noise(av as f64, g));
                 }
-                let av = v as f32;
-                *site = av;
-                let g = if adc_sigma > 0.0 { sampler.sample(&mut rng) } else { 0.0 };
-                *o = adc.code_to_unit(adc.convert_with_noise(av as f64, g));
             }
         }
     });
@@ -304,6 +314,83 @@ mod tests {
         let adc = Adc::paper_default();
         pool_gray(arr, k, cfg, &adc, key, 1, None, &mut analog, &mut out).unwrap();
         (analog, out)
+    }
+
+    #[test]
+    fn keyed_row_pool_matches_per_site_draws() {
+        // The row kernel against one generator per pooled site, channel
+        // and gray, with the pooling sigma and the ADC sigma each at zero
+        // in turn. Pooled rows of 301 sites span two kernel chunks and
+        // end on a partial vector.
+        use rand::rngs::KeyedRng;
+        let (w, h, k) = (602u32, 4u32, 2u32);
+        let scene = RgbImage::from_fn(w, h, |x, y| ((x % 97) as f32 / 97.0, y as f32 / 4.0, 0.4));
+        let sampler = NormalSampler::new();
+        let key = 0xC0FFEE;
+        for read_noise in [0.0, 0.5e-3] {
+            let params = PixelParams { read_noise, ..PixelParams::default() };
+            let arr = PixelArray::from_scene(&scene, params, 3);
+            for noise_sigma in [0.0, 0.4e-3] {
+                let cfg = PoolingConfig { noise_sigma, ..PoolingConfig::default() };
+                for adc in [Adc::paper_default(), Adc::paper_default().with_noise(0.2e-3)] {
+                    for channel in [None, Some(1usize)] {
+                        let (mut analog, mut out) = (Plane::new(1, 1), Plane::new(1, 1));
+                        let (dom, inputs) = match channel {
+                            Some(ch) => {
+                                pool_channel(
+                                    &arr,
+                                    ch,
+                                    k,
+                                    &cfg,
+                                    &adc,
+                                    key,
+                                    1,
+                                    None,
+                                    &mut analog,
+                                    &mut out,
+                                )
+                                .unwrap();
+                                (domain::POOL + ch as u64, k * k)
+                            }
+                            None => {
+                                pool_gray(&arr, k, &cfg, &adc, key, 1, None, &mut analog, &mut out)
+                                    .unwrap();
+                                (domain::POOL, 3 * k * k)
+                            }
+                        };
+                        let sigma = combined_sigma(&cfg, read_noise, inputs as f64);
+                        assert_eq!(sigma > 0.0, read_noise > 0.0 || noise_sigma > 0.0);
+                        for (oy, ox) in (0..h / k).flat_map(|oy| (0..w / k).map(move |ox| (oy, ox)))
+                        {
+                            let rect = Rect::new(ox * k, oy * k, k, k);
+                            let mean = match channel {
+                                Some(ch) => arr.mean_window(ch, rect),
+                                None => arr.mean_window_rgb(rect),
+                            };
+                            let site = (oy * (w / k) + ox) as u64;
+                            let mut rng = KeyedRng::for_stream(key, noise::stream(dom, site));
+                            let mut v = cfg.transfer(mean, params.v_dark, params.v_sat);
+                            if sigma > 0.0 {
+                                v += sigma * sampler.sample(&mut rng);
+                            }
+                            let av = v as f32;
+                            let g = if adc.noise_sigma() > 0.0 {
+                                sampler.sample(&mut rng)
+                            } else {
+                                0.0
+                            };
+                            let code = adc.code_to_unit(adc.convert_with_noise(av as f64, g));
+                            let at = format!(
+                                "{channel:?} sigma {sigma} adc {} ({ox},{oy})",
+                                adc.noise_sigma()
+                            );
+                            assert_eq!(analog.get(ox, oy).to_bits(), av.to_bits(), "{at}");
+                            assert_eq!(out.get(ox, oy).to_bits(), code.to_bits(), "{at}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

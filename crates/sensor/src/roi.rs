@@ -15,11 +15,10 @@
 use hirise_imaging::rect::{sum_area, union_area_with_scratch, UnionScratch};
 use hirise_imaging::{FramePool, Rect, RgbImage};
 use rand::distributions::NormalSampler;
-use rand::rngs::KeyedRng;
 
 use crate::adc::Adc;
 use crate::array::PixelArray;
-use crate::noise::{self, domain};
+use crate::noise::{self, domain, RowNoise, ROW_CHUNK};
 use crate::sensor::ReadoutStats;
 use crate::shard::{shard_rows, ShardPool};
 use crate::{Result, SensorError};
@@ -47,6 +46,7 @@ fn check_roi(array: &PixelArray, rect: Rect) -> Result<()> {
 /// Every value is a pure function of its **absolute** array position and
 /// the per-readout key, so it does not depend on which other boxes were
 /// requested, on readout order, or on the box offsets.
+#[allow(clippy::too_many_arguments)]
 fn convert_run(
     src: &[f32],
     dst: &mut [f32],
@@ -55,16 +55,21 @@ fn convert_run(
     adc: &Adc,
     read_noise: f64,
     sampler: &NormalSampler,
+    noise: &mut RowNoise,
 ) {
     let adc_sigma = adc.noise_sigma();
-    for (dx, (&sv, o)) in src.iter().zip(dst.iter_mut()).enumerate() {
-        let mut rng = KeyedRng::for_stream(key, noise::stream(domain::ROI, site0 + dx as u64));
-        let mut v = sv as f64;
-        if read_noise > 0.0 {
-            v += read_noise * sampler.sample(&mut rng);
+    for (c, (src, dst)) in src.chunks(ROW_CHUNK).zip(dst.chunks_mut(ROW_CHUNK)).enumerate() {
+        let first = noise::stream(domain::ROI, site0 + (c * ROW_CHUNK) as u64);
+        let (read, adc_g) =
+            noise.draw(sampler, key, first, src.len(), read_noise > 0.0, adc_sigma > 0.0);
+        for (((&sv, o), &r), &g) in src.iter().zip(dst.iter_mut()).zip(read).zip(adc_g) {
+            let mut v = sv as f64;
+            if read_noise > 0.0 {
+                v += read_noise * r;
+            }
+            let g = if adc_sigma > 0.0 { g } else { 0.0 };
+            *o = adc.code_to_unit(adc.convert_with_noise(v, g));
         }
-        let g = if adc_sigma > 0.0 { sampler.sample(&mut rng) } else { 0.0 };
-        *o = adc.code_to_unit(adc.convert_with_noise(v, g));
     }
 }
 
@@ -195,6 +200,7 @@ pub(crate) fn read_rois_into(
             let src = array.plane(ch);
             let ch_base = ch as u64 * sites;
             let fill = |_: usize, first_row: usize, band: &mut [f32]| {
+                let mut noise = RowNoise::new();
                 for (dy, dst_row) in band.chunks_exact_mut(w).enumerate() {
                     let y = rect.y + (first_row + dy) as u32;
                     let src_row = src.row(y);
@@ -219,6 +225,7 @@ pub(crate) fn read_rois_into(
                                 adc,
                                 read_noise,
                                 &sampler,
+                                &mut noise,
                             ),
                         }
                         x = end;

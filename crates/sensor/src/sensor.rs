@@ -6,11 +6,10 @@ use std::sync::Arc;
 use hirise_imaging::rect::UnionScratch;
 use hirise_imaging::{FramePool, GrayImage, Image, Plane, Rect, RgbImage};
 use rand::distributions::NormalSampler;
-use rand::rngs::KeyedRng;
 
 use crate::adc::Adc;
 use crate::array::PixelArray;
-use crate::noise::{self, domain, TEMPORAL_SEED_MASK};
+use crate::noise::{self, domain, RowNoise, ROW_CHUNK, TEMPORAL_SEED_MASK};
 use crate::pixel::PixelParams;
 use crate::pooling::{self, PoolingConfig};
 use crate::roi;
@@ -443,20 +442,24 @@ impl Sensor {
         let adc_sigma = adc.noise_sigma();
         let sites = w as u64 * h as u64;
         let mut planes = Vec::with_capacity(3);
+        let mut noise = RowNoise::new();
         for ch in 0..3 {
             let mut out = Plane::new(w, h);
             let ch_base = ch as u64 * sites;
-            for (i, (&src, o)) in
-                self.array.plane(ch).as_slice().iter().zip(out.as_mut_slice()).enumerate()
+            let chunks = self.array.plane(ch).as_slice().chunks(ROW_CHUNK);
+            for (c, (src, dst)) in chunks.zip(out.as_mut_slice().chunks_mut(ROW_CHUNK)).enumerate()
             {
-                let mut rng =
-                    KeyedRng::for_stream(key, noise::stream(domain::FULL, ch_base + i as u64));
-                let mut v = src as f64;
-                if read_noise > 0.0 {
-                    v += read_noise * sampler.sample(&mut rng);
+                let first = noise::stream(domain::FULL, ch_base + (c * ROW_CHUNK) as u64);
+                let (read, adc_g) =
+                    noise.draw(&sampler, key, first, src.len(), read_noise > 0.0, adc_sigma > 0.0);
+                for (((&sv, o), &r), &g) in src.iter().zip(dst.iter_mut()).zip(read).zip(adc_g) {
+                    let mut v = sv as f64;
+                    if read_noise > 0.0 {
+                        v += read_noise * r;
+                    }
+                    let g = if adc_sigma > 0.0 { g } else { 0.0 };
+                    *o = adc.code_to_unit(adc.convert_with_noise(v, g));
                 }
-                let g = if adc_sigma > 0.0 { sampler.sample(&mut rng) } else { 0.0 };
-                *o = adc.code_to_unit(adc.convert_with_noise(v, g));
             }
             planes.push(out);
         }
@@ -548,6 +551,62 @@ mod tests {
                 0.2 + 0.6 * ((x * 3 + y * 17) % 32) as f32 / 32.0,
             )
         })
+    }
+
+    #[test]
+    fn keyed_row_readouts_match_per_site_draws() {
+        // The full and ROI readouts' row kernel against one generator per
+        // sub-pixel, with the read noise and the ADC noise each at zero in
+        // turn. Rows of 300 sites (ROI runs of 281) span two kernel
+        // chunks and end on a partial vector.
+        use rand::rngs::KeyedRng;
+        let (w, h) = (300u32, 6u32);
+        let scene = test_scene(w, h);
+        let sampler = NormalSampler::new();
+        let sites = (w * h) as usize;
+        for read_noise in [0.0, 0.5e-3] {
+            for adc_noise in [0.0, 0.2e-3] {
+                let pixel = PixelParams { read_noise, ..PixelParams::default() };
+                let mut sensor = Sensor::capture(
+                    &scene,
+                    SensorConfig { pixel, adc_noise, ..Default::default() },
+                );
+                let adc = sensor.pixel_adc().clone();
+                let per_site = |key: u64, stream: u64, src: f32| {
+                    let mut rng = KeyedRng::for_stream(key, stream);
+                    let mut v = src as f64;
+                    if read_noise > 0.0 {
+                        v += read_noise * sampler.sample(&mut rng);
+                    }
+                    let g = if adc.noise_sigma() > 0.0 { sampler.sample(&mut rng) } else { 0.0 };
+                    adc.code_to_unit(adc.convert_with_noise(v, g)).to_bits()
+                };
+                let key = noise::frame_key(sensor.noise_seed, sensor.ops);
+                let (full, _) = sensor.read_full();
+                for ch in 0..3 {
+                    let src = sensor.array().plane(ch).as_slice();
+                    for (i, &got) in full.planes()[ch].as_slice().iter().enumerate() {
+                        let stream = noise::stream(domain::FULL, (ch * sites + i) as u64);
+                        let at = format!("full rn {read_noise} adc {adc_noise} ch {ch} site {i}");
+                        assert_eq!(got.to_bits(), per_site(key, stream, src[i]), "{at}");
+                    }
+                }
+                let rect = Rect::new(7, 1, 281, 4);
+                let key = noise::frame_key(sensor.noise_seed, sensor.ops);
+                let (crop, _) = sensor.read_roi(rect).unwrap();
+                for ch in 0..3 {
+                    let src = sensor.array().plane(ch);
+                    for (y, x) in (0..rect.h).flat_map(|y| (0..rect.w).map(move |x| (y, x))) {
+                        let (ax, ay) = (rect.x + x, rect.y + y);
+                        let site = ch * sites + (ay * w + ax) as usize;
+                        let stream = noise::stream(domain::ROI, site as u64);
+                        let got = crop.planes()[ch].get(x, y).to_bits();
+                        let at = format!("roi rn {read_noise} adc {adc_noise} ch {ch} ({ax},{ay})");
+                        assert_eq!(got, per_site(key, stream, src.get(ax, ay)), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

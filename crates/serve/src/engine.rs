@@ -32,7 +32,9 @@
 //! generated frame: overload widens keyframe intervals and shrinks ROI
 //! margins (the [`ShedPolicy`] ladder), and full queues defer arrivals
 //! to later ticks. [`ServeSummary::dropped`] exists to pin that
-//! contract at 0 in every report.
+//! contract at 0 in every report. A frame that returns an error is not a
+//! drop: it ends its own session, which retires at the next tick as
+//! [`ServeSummary::failed`], with its report's `failed` set.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -231,6 +233,9 @@ pub struct ServeSummary {
     pub dropped: u64,
     /// Sessions that served every requested frame.
     pub completed: u64,
+    /// Sessions a frame error ended early, retired without their
+    /// remaining frames.
+    pub failed: u64,
     /// Sessions still live.
     pub active: u64,
     /// Frames served across all sessions.
@@ -273,12 +278,13 @@ impl std::fmt::Display for ServeSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "serve: {} sessions ({} done, {} live, {} refused, {} dropped), \
+            "serve: {} sessions ({} done, {} failed, {} live, {} refused, {} dropped), \
              {} frames over {} ticks, shed {}/{} now/max, \
              p50 {:.3} ms, p99 {:.3} ms, {} deferrals, \
              {} quarantined ({} recovered, worst {} frames)",
             self.admitted,
             self.completed,
+            self.failed,
             self.active,
             self.rejected,
             self.dropped,
@@ -505,10 +511,11 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// The frame failure of the lowest failing slot. A failure stops
-    /// only its own session's drain (the failed frame is consumed);
-    /// every other session still drains, so which sessions drain does
-    /// not depend on the worker count.
+    /// The frame failure of the lowest failing slot. A failure ends
+    /// only its own session (the failed frame is consumed, and the
+    /// session retires at the next tick as failed); every other session
+    /// still drains, so which sessions drain does not depend on the
+    /// worker count.
     pub fn serve_parallel(&mut self, workers: usize) -> Result<u64> {
         let workers = workers.max(1);
         if self.workers.len() != workers {
@@ -551,13 +558,15 @@ impl ServeEngine {
     }
 
     /// Runs tick/serve cycles until every admitted session has completed
-    /// and been retired, serving at the engine's current worker count
-    /// (1 until [`ServeEngine::serve_parallel`] is called with another).
-    /// Returns the frames served.
+    /// or failed and been retired, serving at the engine's current worker
+    /// count (1 until [`ServeEngine::serve_parallel`] is called with
+    /// another). Returns the frames served.
     ///
     /// # Errors
     ///
-    /// As for [`ServeEngine::serve_parallel`].
+    /// As for [`ServeEngine::serve_parallel`], at the first failing pass.
+    /// The failed session is over by then, so calling `drain` again
+    /// finishes the rest of the fleet.
     pub fn drain(&mut self) -> Result<u64> {
         let mut served = 0u64;
         loop {
@@ -614,7 +623,8 @@ impl ServeEngine {
             admitted: self.admitted,
             rejected: self.rejected,
             dropped: 0,
-            completed: self.completed.len() as u64,
+            completed: self.completed.iter().filter(|r| r.completed).count() as u64,
+            failed: self.completed.iter().filter(|r| r.failed).count() as u64,
             active: self.active as u64,
             frames,
             keyframes,

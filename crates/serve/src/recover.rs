@@ -55,7 +55,7 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"HRSN";
 /// Journal envelope magic ("HiRise JourNaL").
 const JOURNAL_MAGIC: [u8; 4] = *b"HRJL";
 /// Shared format version of both artifacts.
-const FORMAT_VERSION: u16 = 2;
+const FORMAT_VERSION: u16 = 3;
 
 /// Rebuilds a session's frame source from its spec — the serializable
 /// stand-in for the sources themselves, which may hold closures. Must
@@ -291,6 +291,7 @@ fn encode_report(report: &SessionReport, enc: &mut Encoder) {
     enc.str(&report.name);
     encode_priority(report.priority, enc);
     enc.bool(report.completed);
+    enc.bool(report.failed);
     enc.u64(report.deferred);
     enc.u8(report.max_shed_level);
     enc.bool(report.poisoned);
@@ -307,6 +308,7 @@ fn decode_report(dec: &mut Decoder<'_>) -> Result<SessionReport, RecoverError> {
     let name = dec.str()?;
     let priority = decode_priority(dec)?;
     let completed = dec.bool()?;
+    let failed = dec.bool()?;
     let deferred = dec.u64()?;
     let max_shed_level = dec.u8()?;
     let poisoned = dec.bool()?;
@@ -321,6 +323,7 @@ fn decode_report(dec: &mut Decoder<'_>) -> Result<SessionReport, RecoverError> {
         name,
         priority,
         completed,
+        failed,
         deferred,
         max_shed_level,
         poisoned,

@@ -245,6 +245,10 @@ pub(crate) struct Session {
     poisoned_frames: u64,
     /// Quarantine events (one per poisoned frame).
     quarantines: u64,
+    /// Whether a frame returned an error. That frame is consumed and the
+    /// session ends: it serves nothing more and retires at the next
+    /// tick, reported as not completed.
+    failed: bool,
     /// Completed recoveries: the tracker restored from its checkpoint
     /// and reached the next detection frame.
     recoveries: u64,
@@ -289,6 +293,7 @@ impl Session {
             poisoned: false,
             poisoned_frames: 0,
             quarantines: 0,
+            failed: false,
             recoveries: 0,
             recovering_since: None,
             max_recovery_frames: 0,
@@ -301,13 +306,15 @@ impl Session {
         self.spec.priority
     }
 
+    /// Whether the session is over: every frame served, or a frame
+    /// error ended it.
     pub(crate) fn is_done(&self) -> bool {
-        self.served >= self.spec.frames
+        self.failed || self.served >= self.spec.frames
     }
 
-    /// Whether a frame waits in the queue.
+    /// Whether a frame waits in the queue to be served.
     pub(crate) fn has_queued(&self) -> bool {
-        self.queue.len > 0
+        !self.failed && self.queue.len > 0
     }
 
     /// Whether the next frame is due to be a keyframe under the
@@ -369,8 +376,11 @@ impl Session {
 
     /// Serves the oldest queued frame through `scratch`, applying the
     /// frame's stamped shed level first (a cheap policy swap on the rung
-    /// transitions, a no-op otherwise). Returns `false` when the queue
-    /// is empty.
+    /// transitions, a no-op otherwise). Returns `false` when nothing is
+    /// left to serve: the queue is empty, or an earlier frame failed.
+    ///
+    /// A frame that returns an error is consumed and ends the session
+    /// ([`Session::is_done`]); the error is returned once.
     ///
     /// The frame's critical section (fault injection, frame render,
     /// tracker step) runs behind the serve layer's one panic boundary:
@@ -383,6 +393,9 @@ impl Session {
         config: &ServeConfig,
         scratch: &mut PipelineScratch,
     ) -> Result<bool> {
+        if self.failed {
+            return Ok(false);
+        }
         let Some((index, level)) = self.queue.pop() else {
             return Ok(false);
         };
@@ -406,7 +419,12 @@ impl Session {
                 self.quarantine();
                 return Ok(true);
             }
-            Ok(report) => report?,
+            Ok(Err(e)) => {
+                self.served += 1;
+                self.failed = true;
+                return Err(e);
+            }
+            Ok(Ok(report)) => report,
         };
         let mut latency_ms = start.elapsed().as_secs_f64() * 1e3;
         if let FaultAction::Stall { stall_ms } = action {
@@ -508,6 +526,7 @@ impl Session {
         enc.bool(self.poisoned);
         enc.u64(self.poisoned_frames);
         enc.u64(self.quarantines);
+        enc.bool(self.failed);
         enc.u64(self.recoveries);
         enc.bool(self.recovering_since.is_some());
         enc.u32(self.recovering_since.unwrap_or(0));
@@ -564,6 +583,7 @@ impl Session {
         session.poisoned = dec.bool()?;
         session.poisoned_frames = dec.u64()?;
         session.quarantines = dec.u64()?;
+        session.failed = dec.bool()?;
         session.recoveries = dec.u64()?;
         let recovering = dec.bool()?;
         let since = dec.u32()?;
@@ -601,7 +621,8 @@ impl Session {
             id: self.id,
             name: self.spec.name.clone(),
             priority: self.spec.priority,
-            completed: self.is_done(),
+            completed: !self.failed && self.served >= self.spec.frames,
+            failed: self.failed,
             deferred: self.deferred,
             max_shed_level: self.max_shed_level,
             poisoned: self.poisoned,
@@ -630,6 +651,8 @@ pub struct SessionReport {
     pub priority: Priority,
     /// Whether every requested frame was served.
     pub completed: bool,
+    /// Whether a frame error ended the session before its last frame.
+    pub failed: bool,
     /// Total (frame × tick) backpressure deferrals.
     pub deferred: u64,
     /// Highest shed level stamped on any of this session's frames.

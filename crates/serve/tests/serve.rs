@@ -329,20 +329,32 @@ fn failing_source(phase: u32, bad_frame: u32, size: u32) -> FrameSource {
     }))
 }
 
-/// Serves a fleet in which the sessions in slots 2 and 5 fail on their
-/// frame 3 (with different wrong sizes) for a fixed number of ticks.
-/// Returns every pass's outcome and the final summary.
-fn run_failing_fleet(workers: usize) -> (Vec<Result<u64, String>>, ServeSummary) {
+/// The source of session `f{i}` in the failing fleet: the sessions in
+/// slots 2 and 5 fail on their frame 3, with different wrong sizes.
+fn failing_fleet_source(spec: &SessionSpec) -> Option<FrameSource> {
+    let i: u32 = spec.name.strip_prefix('f')?.parse().ok()?;
+    Some(match i {
+        2 => failing_source(i, 3, 16),
+        5 => failing_source(i, 3, 24),
+        _ => FrameSource::Frames(clip(8, i)),
+    })
+}
+
+/// An engine holding the eight sessions of the failing fleet.
+fn failing_fleet() -> ServeEngine {
     let mut engine = ServeEngine::new(serve_config(8)).unwrap();
     for i in 0..8u32 {
         let spec = SessionSpec::default().name(format!("f{i}")).frames(12).frames_per_tick(2);
-        let source = match i {
-            2 => failing_source(i, 3, 16),
-            5 => failing_source(i, 3, 24),
-            _ => FrameSource::Frames(clip(8, i)),
-        };
+        let source = failing_fleet_source(&spec).unwrap();
         engine.admit(spec, source).unwrap();
     }
+    engine
+}
+
+/// Serves the failing fleet for a fixed number of ticks. Returns every
+/// pass's outcome and the final summary.
+fn run_failing_fleet(workers: usize) -> (Vec<Result<u64, String>>, ServeSummary) {
+    let mut engine = failing_fleet();
     let outcomes = (0..10)
         .map(|_| {
             engine.tick();
@@ -373,6 +385,76 @@ fn frame_failures_are_deterministic_across_worker_counts() {
             assert_eq!(p.summary, s.summary, "session {} diverged at {workers} workers", s.name);
             assert_eq!(p.deferred, s.deferred);
         }
+    }
+}
+
+/// Drains the failing fleet at `workers` workers: the first `drain`
+/// returns the lowest failing slot's error, and a second one finishes
+/// the fleet. Returns that error and the final summary.
+fn drain_failing_fleet(workers: usize) -> (String, ServeSummary) {
+    let mut engine = failing_fleet();
+    // Sets the worker count `drain` serves at; nothing is queued yet.
+    assert_eq!(engine.serve_parallel(workers).unwrap(), 0);
+    let error = engine.drain().unwrap_err().to_string();
+    engine.drain().expect("the failed sessions are over, so the rest drains");
+    assert_eq!(engine.active_sessions(), 0, "{workers} workers");
+    (error, engine.summary())
+}
+
+#[test]
+fn drain_terminates_after_a_frame_error_at_any_worker_count() {
+    // A frame error ends its session: the frame is consumed, the session
+    // retires at the next tick as failed, and `drain` finishes the rest
+    // of the fleet instead of waiting on it forever.
+    let (error, serial) = drain_failing_fleet(1);
+    assert_eq!(error, "scene is 16x16 but the pixel array is 64x48", "lowest slot wins");
+    assert_eq!((serial.completed, serial.failed, serial.active), (6, 2, 0));
+    for report in &serial.sessions {
+        let bad = matches!(report.name.as_str(), "f2" | "f5");
+        assert_eq!(report.failed, bad, "session {}", report.name);
+        assert_eq!(report.completed, !bad, "session {}", report.name);
+        // Frames 0..3 were served; frame 3 failed and ended the session.
+        assert_eq!(report.summary.frames, if bad { 3 } else { 12 }, "session {}", report.name);
+    }
+    for workers in [2, 4] {
+        let (parallel_error, parallel) = drain_failing_fleet(workers);
+        assert_eq!(parallel_error, error, "{workers} workers");
+        assert_eq!((parallel.completed, parallel.failed), (serial.completed, serial.failed));
+        assert_eq!(parallel.energy_mj.to_bits(), serial.energy_mj.to_bits(), "{workers} workers");
+        for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
+            assert_eq!(p.id, s.id);
+            assert_eq!((p.completed, p.failed), (s.completed, s.failed));
+            assert_eq!(p.summary, s.summary, "session {} diverged at {workers} workers", s.name);
+            assert_eq!(p.deferred, s.deferred);
+            assert_eq!(p.max_shed_level, s.max_shed_level);
+        }
+    }
+}
+
+#[test]
+fn a_failed_session_stays_failed_across_a_snapshot() {
+    // Between its failing pass and the next tick a failed session is
+    // still in the slab. A snapshot taken there must carry the mark, or
+    // the restored session would serve on past its error.
+    let mut engine = failing_fleet();
+    let mut failed_pass = false;
+    while !failed_pass {
+        engine.tick();
+        failed_pass = engine.serve_parallel(2).is_err();
+    }
+    let snapshot = engine.snapshot();
+    let mut restored =
+        ServeEngine::restore(&snapshot, serve_config(8), &failing_fleet_source).unwrap();
+    assert_eq!(restored.snapshot().as_bytes(), snapshot.as_bytes());
+    engine.drain().unwrap();
+    restored.drain().unwrap();
+    let (a, b) = (engine.summary(), restored.summary());
+    assert_eq!((a.completed, a.failed), (6, 2));
+    assert_eq!((b.completed, b.failed), (6, 2));
+    assert_eq!(a.energy_mj.to_bits(), b.energy_mj.to_bits());
+    for (x, y) in a.sessions.iter().zip(&b.sessions) {
+        assert_eq!((x.id, x.completed, x.failed), (y.id, y.completed, y.failed));
+        assert_eq!(x.summary, y.summary, "session {} diverged after restore", x.name);
     }
 }
 
