@@ -8,15 +8,21 @@
 //!
 //! Conversions run through a comparator ladder (see [`Ladder`]): the
 //! code's thresholds are tabulated once per ADC, so a sample costs an
-//! index guess and a few compares instead of the quantiser's division,
-//! `sin` and `round`, with every code bit-identical to the quantiser.
+//! index guess and a few independent compares instead of the
+//! quantiser's division, `sin` and `round`, with every code
+//! bit-identical to the quantiser. The readout paths convert a row chunk
+//! at a time through [`Adc::convert_row`], which runs that window eight
+//! samples per AVX-512 vector where the CPU has AVX-512F/DQ and reads
+//! each unit value from a per-ladder `code → unit` table instead of
+//! dividing; [`Adc::convert_with_noise`] is the per-sample form.
 
 use std::f64::consts::PI;
 
 use crate::{Result, SensorError};
 
-/// Widest ADC that gets a comparator ladder: a 10-bit table is 1025
-/// `f64`s (8 KiB). Wider converters take the exact quantiser.
+/// Widest ADC that gets a comparator ladder: a 10-bit ladder holds
+/// 1025 thresholds (8 KiB, plus its pads) and 1024 unit values (4 KiB).
+/// Wider converters take the exact quantiser.
 pub const LADDER_MAX_BITS: u32 = 10;
 
 /// A uniform-quantising ADC with optional INL bow and input-referred noise.
@@ -159,6 +165,69 @@ impl Adc {
         self.quantise(v)
     }
 
+    /// Converts a row of samples that already carry their conversion
+    /// noise: `out[i]` is `code_to_unit(convert_ideal(xs[i]))`, bit for
+    /// bit. With a ladder, the samples run eight per AVX-512 vector where
+    /// the CPU has AVX-512F/DQ (else one at a time through the same
+    /// window), each unit value comes from the ladder's table, and the
+    /// samples that miss the ladder (non-finite, or inside the guard
+    /// band) take the exact quantiser after the vector pass. Without a
+    /// ladder, every sample takes the quantiser.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    pub fn convert_row(&self, xs: &[f64], out: &mut [f32]) {
+        assert_eq!(xs.len(), out.len(), "one output per sample");
+        if self.convert_row_lanes(xs, out).is_none() {
+            self.convert_row_scalar(xs, out);
+        }
+    }
+
+    /// [`Adc::convert_row`] on a chosen path, for the oracle suite: the
+    /// 8-lane path when `lanes` (`None`, with `out` untouched, where the
+    /// CPU lacks AVX-512F/DQ or the ADC has no ladder), else the scalar
+    /// path. Returns how many samples took the exact quantiser.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    #[doc(hidden)]
+    pub fn convert_row_on(&self, lanes: bool, xs: &[f64], out: &mut [f32]) -> Option<usize> {
+        assert_eq!(xs.len(), out.len(), "one output per sample");
+        if lanes {
+            self.convert_row_lanes(xs, out)
+        } else {
+            Some(self.convert_row_scalar(xs, out))
+        }
+    }
+
+    /// The 8-lane row path: the samples that took the quantiser, or
+    /// `None` (and `out` untouched) without a ladder or without the CPU
+    /// features.
+    fn convert_row_lanes(&self, xs: &[f64], out: &mut [f32]) -> Option<usize> {
+        wide::convert_row(self, self.ladder.as_ref()?, xs, out)
+    }
+
+    /// The one-sample-at-a-time row path, the fallback of the lanes:
+    /// the samples that took the quantiser.
+    fn convert_row_scalar(&self, xs: &[f64], out: &mut [f32]) -> usize {
+        let mut misses = 0;
+        for (&x, o) in xs.iter().zip(out) {
+            let hit = self.ladder.as_ref().and_then(|ladder| ladder.unit(x));
+            *o = hit.unwrap_or_else(|| {
+                misses += 1;
+                self.exact_unit(x)
+            });
+        }
+        misses
+    }
+
+    /// The unit value of `x` through the exact quantiser.
+    fn exact_unit(&self, x: f64) -> f32 {
+        self.code_to_unit(self.quantise(x))
+    }
+
     /// Maps a code back to the unit interval `0.0..=1.0`.
     pub fn code_to_unit(&self, code: u16) -> f32 {
         code as f32 / (self.levels() - 1) as f32
@@ -171,7 +240,8 @@ impl Adc {
 }
 
 /// The comparator ladder of an [`Adc`]: the quantiser's thresholds,
-/// tabulated once, and the guard band that makes reading them exact.
+/// tabulated once, the guard band that makes reading them exact, and the
+/// `code → unit` table the row converter reads.
 ///
 /// With `L = levels - 1`, the quantiser computes, in `f64`,
 /// `t = clamp((x - v_lo) / r, 0, 1)` with `r = v_hi - v_lo`, then
@@ -179,11 +249,35 @@ impl Adc {
 /// that is a non-decreasing step function of `x` whenever the bow's
 /// slope `L + PI·inl·cos(PI·t)` stays positive, i.e. `|inl|·π < L`.
 /// `th[c]` (`c` in `1..=L`) is the `f64` at which the quantiser steps
-/// from below `c` to at least `c`; `th[0] = -inf` and `th[L+1] = +inf`
-/// pad the table. A conversion guesses `c` from the linear part,
-/// corrects it with `⌈|inl|⌉ + 1` compares each way, and returns `c`
-/// only when `x` lies at least `guard` inside `[th[c], th[c+1])`;
-/// everything else (NaN, ±inf, the guard band) takes the quantiser.
+/// from below `c` to at least `c`; `th[c] = -inf` for `c ≤ 0` and
+/// `+inf` for `c > L` pad the table.
+///
+/// # The window
+///
+/// A conversion guesses `g = clamp(⌊(x - v_lo)·L/r⌋, 0, L)` from the
+/// linear part and counts the `2·steps` thresholds
+/// `th[g - steps + 1..=g + steps]` at or below `x`, with
+/// `steps = ⌈|inl|⌉ + 1`: `c = g - steps + count`. The thresholds rise
+/// with `c`, so that count is the true code clamped to
+/// `[g - steps, g + steps]` (the result of walking `steps` compares down
+/// from `g` and then `steps` up), but its loads are independent of each
+/// other instead of a dependent chain. `c` is returned only when `x`
+/// lies at least `guard` inside `[th[c], th[c+1])`; everything else
+/// (NaN, ±inf, the guard band, and a guess more than `steps` off) takes
+/// the quantiser. Since the guard proves the code on its own (below),
+/// the window only has to find it.
+///
+/// # Lanes
+///
+/// [`Adc::convert_row`] runs the window eight samples per vector where
+/// the CPU has AVX-512F and AVX-512DQ: the guess by a truncating
+/// conversion of the clamped linear part, the `2·steps` thresholds and
+/// `th[c]`, `th[c+1]` by gathers from the padded table, and the unit
+/// value `c / L` (as `f32`, exactly [`Adc::code_to_unit`]) by a gather
+/// from a table of `levels` `f32`s built with the ladder, instead of a
+/// division per sample. Lanes that are not finite or miss the guard take
+/// the quantiser after the vector pass; elsewhere the same window runs
+/// one sample at a time.
 ///
 /// # The guard
 ///
@@ -229,12 +323,16 @@ impl Adc {
 /// read `< c` and `≥ c`. [`Ladder::build_evals`] counts the oracle calls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ladder {
-    /// `th[0] = -inf`, `th[1..=L]` the thresholds, `th[L+1] = +inf`.
+    /// `th[c]` at `th[steps + c]`, for `c` in `-steps..=L + steps + 1`:
+    /// `-inf` through `c = 0`, the thresholds, `+inf` from `c = L + 1`.
+    /// Every index the window reads from a clamped guess is inside it.
     th: Box<[f64]>,
+    /// `units[c] = c as f32 / L as f32`, for `c` in `0..=L`.
+    units: Box<[f32]>,
     v_lo: f64,
     /// `L / (v_hi - v_lo)`: the linear part of the index guess.
     scale: f64,
-    /// Corrective compares each way, `⌈|inl|⌉ + 1`.
+    /// Thresholds counted each side of the guess, `⌈|inl|⌉ + 1`.
     steps: u32,
     guard: f64,
     build_evals: u64,
@@ -259,45 +357,49 @@ impl Ladder {
         let ulp = 2.0 * u * adc.v_lo.abs().max(adc.v_hi.abs());
         let guard = 2.0 * (2.0 * delta + ulp);
 
+        let steps = inl.ceil() as u32 + 1;
+        let pad = steps as usize + 1;
         let mut evals = 0u64;
-        let mut th = Vec::with_capacity(top as usize + 2);
-        th.push(f64::NEG_INFINITY);
+        let mut th = Vec::with_capacity(top as usize + 2 * pad);
+        th.resize(pad, f64::NEG_INFINITY);
         for c in 1..=top as u16 {
             let t = newton_seed(l, adc.inl_lsb, c as f64 - 0.5);
             th.push(settle(adc, c, adc.v_lo + t * r, &mut evals));
         }
-        th.push(f64::INFINITY);
+        th.resize(top as usize + 2 * pad, f64::INFINITY);
         Some(Self {
             th: th.into_boxed_slice(),
+            units: (0..=top as u16).map(|c| adc.code_to_unit(c)).collect(),
             v_lo: adc.v_lo,
             scale: l / r,
-            steps: inl.ceil() as u32 + 1,
+            steps,
             guard,
             build_evals: evals,
         })
     }
 
     /// The ladder code of `x`, or `None` when `x` is not finite or lies
-    /// within the guard band of its step.
+    /// within the guard band of its step (or the window missed it).
     #[inline]
     fn convert(&self, x: f64) -> Option<u16> {
-        if !x.is_finite() {
-            return None;
-        }
-        let th = &self.th[..];
-        let top = th.len() - 2;
-        // Saturating cast, then clamp: the guess is a valid code. The
-        // pads stop both walks: no finite `x` is below `th[0]` or at
-        // least `th[top + 1]`.
-        let guess = ((x - self.v_lo) * self.scale) as i64;
-        let mut c = guess.clamp(0, top as i64) as usize;
-        for _ in 0..self.steps {
-            c -= usize::from(x < th[c]);
-        }
-        for _ in 0..self.steps {
-            c += usize::from(x >= th[c + 1]);
-        }
-        (x - th[c] >= self.guard && th[c + 1] - x >= self.guard).then_some(c as u16)
+        let steps = self.steps as usize;
+        let top = self.units.len() - 1;
+        // Saturating cast, then clamp: the guess is a valid code, and
+        // `th[guess + j]` is threshold `guess - steps + j`.
+        let guess = (((x - self.v_lo) * self.scale) as i64).clamp(0, top as i64) as usize;
+        let window = &self.th[guess + 1..=guess + 2 * steps];
+        let c = guess + window.iter().map(|&t| usize::from(x >= t)).sum::<usize>();
+        // A code that clears the guard is in `0..=top`, and no
+        // non-finite `x` clears it: `th[c + 1] - inf` is `-inf` or NaN, as
+        // is `-inf - th[c]`, and every compare with NaN is false.
+        (x - self.th[c] >= self.guard && self.th[c + 1] - x >= self.guard)
+            .then(|| (c - steps) as u16)
+    }
+
+    /// The unit value of [`Ladder::convert`]'s code for `x`.
+    #[inline]
+    fn unit(&self, x: f64) -> Option<f32> {
+        self.convert(x).map(|code| self.units[usize::from(code)])
     }
 
     /// The padded threshold table: `levels + 1` entries, `-inf` first,
@@ -305,7 +407,8 @@ impl Ladder {
     /// input at which the quantiser steps up to it (its smallest input
     /// wherever the quantiser is monotone around that step).
     pub fn thresholds(&self) -> &[f64] {
-        &self.th
+        let steps = self.steps as usize;
+        &self.th[steps..steps + self.units.len() + 1]
     }
 
     /// Half-width of the band around each threshold whose inputs take
@@ -317,6 +420,168 @@ impl Ladder {
     /// Quantiser evaluations spent building the table.
     pub fn build_evals(&self) -> u64 {
         self.build_evals
+    }
+}
+
+/// The 8-lane form of the row converter (x86-64 with AVX-512F and
+/// AVX-512DQ), mirroring `rand`'s keyed row kernel. Every `unsafe` of the
+/// converter is here.
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use std::arch::x86_64::*;
+
+    use super::{Adc, Ladder};
+
+    /// Whether this CPU runs the 8-lane converter: AVX-512F for the
+    /// lanes, gathers and masks, AVX-512DQ for the `f64 → i64`
+    /// conversion of the guess.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
+    }
+
+    /// [`Adc::convert_row`] in lanes: the samples that took the
+    /// quantiser, or `None` (and `out` untouched) when the CPU lacks the
+    /// features.
+    pub(super) fn convert_row(
+        adc: &Adc,
+        ladder: &Ladder,
+        xs: &[f64],
+        out: &mut [f32],
+    ) -> Option<usize> {
+        if !available() {
+            return None;
+        }
+        // The gathers' bounds: `L + 2·steps + 2` thresholds, `L + 1` units.
+        let steps = ladder.steps as usize;
+        assert_eq!(ladder.th.len(), ladder.units.len() + 2 * steps + 1, "padded table");
+        // SAFETY: `available` just confirmed AVX-512F and AVX-512DQ, the
+        // features `rows` is compiled for.
+        Some(unsafe { rows(adc, ladder, xs, out) })
+    }
+
+    /// The mask of the first `n` lanes (all eight when `n >= 8`).
+    #[inline]
+    fn live_lanes(n: usize) -> __mmask8 {
+        if n >= 8 {
+            0xFF
+        } else {
+            (1u8 << n) - 1
+        }
+    }
+
+    /// The lanes of `mask`, lowest first.
+    fn lanes_of(mut mask: __mmask8) -> impl Iterator<Item = usize> {
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let lane = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                lane
+            })
+        })
+    }
+
+    /// The window of [`Ladder::convert`] on eight samples: each lane's
+    /// unit value, and the mask of the lanes that clear the guard (the
+    /// others' values are meaningless and must take the quantiser). As
+    /// in the scalar form, no NaN or infinite lane clears the guard.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn convert8(ladder: &Ladder, x: __m512d) -> (__m256, __mmask8) {
+        let steps = ladder.steps as usize;
+        let top = (ladder.units.len() - 1) as i64;
+        // The clamp before the truncation gives the scalar guess: `max`
+        // returns its second operand for a NaN lane, so every lane's
+        // guess is a code in `0..=top`.
+        let linear = _mm512_mul_pd(
+            _mm512_sub_pd(x, _mm512_set1_pd(ladder.v_lo)),
+            _mm512_set1_pd(ladder.scale),
+        );
+        let clamped =
+            _mm512_min_pd(_mm512_max_pd(linear, _mm512_setzero_pd()), _mm512_set1_pd(top as f64));
+        let guess = _mm512_cvttpd_epi64(clamped);
+        let th = ladder.th.as_ptr();
+        let one = _mm512_set1_epi64(1);
+        let mut c = guess;
+        for j in 1..=2 * steps {
+            // SAFETY: every lane of `guess` is in `0..=top` and `j` in
+            // `1..=2·steps`, so the gather reads `th[guess + j]` with
+            // `guess + j ≤ top + 2·steps < th.len()`, 8-byte scaled.
+            let t = unsafe { _mm512_i64gather_pd::<8>(guess, th.add(j)) };
+            c = _mm512_mask_add_epi64(c, _mm512_cmp_pd_mask::<_CMP_GE_OQ>(x, t), c, one);
+        }
+        // SAFETY: every lane of `c` is in `guess..=guess + 2·steps`, so
+        // the gathers read `th[c]` and `th[c + 1]` with
+        // `c + 1 ≤ top + 2·steps + 1 = th.len() - 1`.
+        let (lo, hi) =
+            unsafe { (_mm512_i64gather_pd::<8>(c, th), _mm512_i64gather_pd::<8>(c, th.add(1))) };
+        let guard = _mm512_set1_pd(ladder.guard);
+        let above = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(_mm512_sub_pd(x, lo), guard);
+        let ok = _mm512_mask_cmp_pd_mask::<_CMP_GE_OQ>(above, _mm512_sub_pd(hi, x), guard);
+        let code = _mm512_min_epi64(
+            _mm512_max_epi64(
+                _mm512_sub_epi64(c, _mm512_set1_epi64(steps as i64)),
+                _mm512_setzero_si512(),
+            ),
+            _mm512_set1_epi64(top),
+        );
+        // SAFETY: every lane of `code` is clamped into `0..=top`, and
+        // `units` holds `top + 1` entries, 4-byte scaled.
+        let units = unsafe { _mm512_i64gather_ps::<4>(code, ladder.units.as_ptr()) };
+        (units, ok)
+    }
+
+    /// Samples per block: the converter vectorizes a block, then sends
+    /// the block's missed lanes through the quantiser, so the cold calls
+    /// do not interrupt the vector loop. The miss masks live on the
+    /// stack.
+    const BLOCK: usize = 256;
+
+    /// Eight samples per step; a lane that misses the ladder is
+    /// converted again through the quantiser. Returns the misses.
+    // lint: zero-alloc
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn rows(adc: &Adc, ladder: &Ladder, xs: &[f64], out: &mut [f32]) -> usize {
+        let mut misses = 0;
+        for (xs, out) in xs.chunks(BLOCK).zip(out.chunks_mut(BLOCK)) {
+            let mut missed = [0u8; BLOCK / 8];
+            let steps = xs.chunks(8).zip(out.chunks_mut(8));
+            for ((x8, o8), miss) in steps.zip(&mut missed) {
+                let live = live_lanes(x8.len());
+                // SAFETY: `live` selects exactly the first `x8.len()`
+                // lanes, so the masked load reads only inside `x8`.
+                let x = unsafe { _mm512_maskz_loadu_pd(live, x8.as_ptr()) };
+                let (units, ok) = convert8(ladder, x);
+                // SAFETY: `live` selects exactly the first `o8.len()`
+                // lanes (`o8` is as long as `x8`), so the masked store
+                // writes only inside `o8`.
+                unsafe {
+                    _mm512_mask_storeu_ps(
+                        o8.as_mut_ptr(),
+                        __mmask16::from(live),
+                        _mm512_castps256_ps512(units),
+                    );
+                }
+                *miss = live & !ok;
+            }
+            for (step, &miss) in missed.iter().enumerate() {
+                for i in lanes_of(miss).map(|lane| 8 * step + lane) {
+                    out[i] = adc.exact_unit(xs[i]);
+                    misses += 1;
+                }
+            }
+        }
+        misses
+    }
+}
+
+/// The 8-lane converter's stand-in where the target has no AVX-512:
+/// every row takes the one-sample path.
+#[cfg(not(target_arch = "x86_64"))]
+mod wide {
+    use super::{Adc, Ladder};
+
+    pub(super) fn convert_row(_: &Adc, _: &Ladder, _: &[f64], _: &mut [f32]) -> Option<usize> {
+        None
     }
 }
 

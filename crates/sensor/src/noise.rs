@@ -97,24 +97,27 @@ pub(crate) fn site_normal(sampler: &NormalSampler, key: u64, stream_id: u64) -> 
 /// frame path allocates nothing.
 pub(crate) const ROW_CHUNK: usize = 256;
 
-/// Stack buffers for the noise of one row chunk whose sites take up to
-/// two draws each — read noise (or pooling noise) and then ADC noise.
+/// Stack buffers for one row chunk whose sites take up to two draws
+/// each — read noise (or pooling noise) and then ADC noise — and for the
+/// samples the chunk hands to [`crate::Adc::convert_row`].
 pub(crate) struct RowNoise {
     first: [f64; ROW_CHUNK],
     second: [f64; ROW_CHUNK],
+    samples: [f64; ROW_CHUNK],
 }
 
 impl RowNoise {
     pub(crate) fn new() -> Self {
-        Self { first: [0.0; ROW_CHUNK], second: [0.0; ROW_CHUNK] }
+        Self { first: [0.0; ROW_CHUNK], second: [0.0; ROW_CHUNK], samples: [0.0; ROW_CHUNK] }
     }
 
     /// Draws the noise of `n ≤ ROW_CHUNK` sites on the consecutive
     /// streams from `first_stream`, exactly as a per-site loop would:
     /// each site's generator gives term `a` its first normal when
     /// `with_a`, then term `b` its next normal when `with_b`. Returns the
-    /// `n` values of each term; a term that is off holds stale values and
-    /// must not be read.
+    /// `n` values of each term, and `n` sample slots for the caller to
+    /// fill with the noisy inputs of the ADC; a term that is off holds
+    /// stale values and must not be read.
     pub(crate) fn draw(
         &mut self,
         sampler: &NormalSampler,
@@ -123,7 +126,7 @@ impl RowNoise {
         n: usize,
         with_a: bool,
         with_b: bool,
-    ) -> (&[f64], &[f64]) {
+    ) -> (&[f64], &[f64], &mut [f64]) {
         let (a, b) = (&mut self.first[..n], &mut self.second[..n]);
         match (with_a, with_b) {
             (true, true) => sampler.fill_keyed_pairs(key, first_stream, a, b),
@@ -131,7 +134,7 @@ impl RowNoise {
             (false, true) => sampler.fill_keyed(key, first_stream, b),
             (false, false) => {}
         }
-        (a, b)
+        (a, b, &mut self.samples[..n])
     }
 }
 

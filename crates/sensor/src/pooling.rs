@@ -217,7 +217,8 @@ fn combined_sigma(cfg: &PoolingConfig, read_noise: f64, n_inputs: f64) -> f64 {
 /// [`pool_gray`]: row-sharded sweep over the pooled grid, calling
 /// `site_mean(y0, x0)` for each site's mean input voltage (the only part
 /// that differs between the channel and gray configurations), then
-/// transfer + keyed noise + fused ADC conversion.
+/// transfer + keyed noise, and one [`Adc::convert_row`] call per row
+/// chunk for the ADC conversion.
 // lint: zero-alloc
 #[allow(clippy::too_many_arguments)]
 fn pool_fused<M: Fn(usize, usize) -> f64 + Sync>(
@@ -261,11 +262,11 @@ fn pool_fused<M: Fn(usize, usize) -> f64 + Sync>(
             for (c, (arow, orow)) in chunks.enumerate() {
                 let ox0 = c * ROW_CHUNK;
                 let first = noise::stream(dom, row_site + ox0 as u64);
-                let (pool_g, adc_g) =
+                let (pool_g, adc_g, xs) =
                     noise.draw(&sampler, key, first, arow.len(), sigma > 0.0, adc_sigma > 0.0);
                 let draws = pool_g.iter().zip(adc_g);
-                for (i, ((site, o), (&p, &g))) in
-                    arow.iter_mut().zip(orow.iter_mut()).zip(draws).enumerate()
+                for (i, ((site, x), (&p, &g))) in
+                    arow.iter_mut().zip(xs.iter_mut()).zip(draws).enumerate()
                 {
                     let mean = site_mean(y0, (ox0 + i) * ku);
                     let mut v = cfg.transfer(mean, params.v_dark, params.v_sat);
@@ -275,8 +276,9 @@ fn pool_fused<M: Fn(usize, usize) -> f64 + Sync>(
                     let av = v as f32;
                     *site = av;
                     let g = if adc_sigma > 0.0 { g } else { 0.0 };
-                    *o = adc.code_to_unit(adc.convert_with_noise(av as f64, g));
+                    *x = av as f64 + adc_sigma * g;
                 }
+                adc.convert_row(xs, orow);
             }
         }
     });

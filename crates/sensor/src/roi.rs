@@ -41,15 +41,18 @@ fn check_roi(array: &PixelArray, rect: Rect) -> Result<()> {
     Ok(())
 }
 
-/// Position-keyed digitisation of one run of sub-pixels: `src` holds the
-/// voltages of consecutive sites starting at flat stream site `site0`.
-/// Every value is a pure function of its **absolute** array position and
-/// the per-readout key, so it does not depend on which other boxes were
-/// requested, on readout order, or on the box offsets.
+/// Position-keyed digitisation of one run of sub-pixels, shared by the
+/// ROI and full readouts: `src` holds the voltages of consecutive sites
+/// starting at flat stream site `site0` of domain `dom`. Every value is a
+/// pure function of its **absolute** array position and the per-readout
+/// key, so it does not depend on which other boxes were requested, on
+/// readout order, or on the box offsets. Each row chunk's noisy samples
+/// go through the ADC in one [`Adc::convert_row`] call.
 #[allow(clippy::too_many_arguments)]
-fn convert_run(
+pub(crate) fn convert_run(
     src: &[f32],
     dst: &mut [f32],
+    dom: u64,
     site0: u64,
     key: u64,
     adc: &Adc,
@@ -59,17 +62,18 @@ fn convert_run(
 ) {
     let adc_sigma = adc.noise_sigma();
     for (c, (src, dst)) in src.chunks(ROW_CHUNK).zip(dst.chunks_mut(ROW_CHUNK)).enumerate() {
-        let first = noise::stream(domain::ROI, site0 + (c * ROW_CHUNK) as u64);
-        let (read, adc_g) =
+        let first = noise::stream(dom, site0 + (c * ROW_CHUNK) as u64);
+        let (read, adc_g, xs) =
             noise.draw(sampler, key, first, src.len(), read_noise > 0.0, adc_sigma > 0.0);
-        for (((&sv, o), &r), &g) in src.iter().zip(dst.iter_mut()).zip(read).zip(adc_g) {
+        for (((&sv, x), &r), &g) in src.iter().zip(xs.iter_mut()).zip(read).zip(adc_g) {
             let mut v = sv as f64;
             if read_noise > 0.0 {
                 v += read_noise * r;
             }
             let g = if adc_sigma > 0.0 { g } else { 0.0 };
-            *o = adc.code_to_unit(adc.convert_with_noise(v, g));
+            *x = v + adc_sigma * g;
         }
+        adc.convert_row(xs, dst);
     }
 }
 
@@ -220,6 +224,7 @@ pub(crate) fn read_rois_into(
                             None => convert_run(
                                 &src_row[x as usize..end as usize],
                                 dst,
+                                domain::ROI,
                                 row_base + x as u64,
                                 key,
                                 adc,

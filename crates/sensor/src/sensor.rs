@@ -9,7 +9,7 @@ use rand::distributions::NormalSampler;
 
 use crate::adc::Adc;
 use crate::array::PixelArray;
-use crate::noise::{self, domain, RowNoise, ROW_CHUNK, TEMPORAL_SEED_MASK};
+use crate::noise::{self, domain, RowNoise, TEMPORAL_SEED_MASK};
 use crate::pixel::PixelParams;
 use crate::pooling::{self, PoolingConfig};
 use crate::roi;
@@ -132,7 +132,8 @@ impl SensorConfig {
     /// Checks that the sensor can build both of its ADCs: the pixel ADC
     /// (`adc_bits` over `pixel.v_dark..pixel.v_sat`) and the pooled ADC
     /// (`adc_bits` over the pooling circuit's output range), with a
-    /// finite INL bow and a finite, non-negative conversion noise.
+    /// finite INL bow, and that every noise sigma is finite and
+    /// non-negative and the pooling bow finite.
     /// [`Sensor::capture`] expects a configuration that passes.
     ///
     /// # Errors
@@ -140,8 +141,10 @@ impl SensorConfig {
     /// [`SensorError::InvalidConfig`] when [`Adc::new`] rejects either
     /// ADC (a bit width outside `1..=16`, a non-finite voltage, `v_sat <=
     /// v_dark`, or an empty pooling output range, e.g. a non-positive
-    /// pooling gain), when `adc_inl_lsb` is not finite, or when
-    /// `adc_noise` is negative or not finite.
+    /// pooling gain), when `adc_inl_lsb` or `pooling.nonlinearity` is not
+    /// finite, or when `adc_noise`, `pixel.read_noise`,
+    /// `pixel.prnu_sigma`, `pixel.dsnu_sigma` or `pooling.noise_sigma` is
+    /// negative or not finite.
     pub fn validate(&self) -> Result<()> {
         Adc::check(self.adc_bits, self.pixel.v_dark, self.pixel.v_sat)?;
         // The bit width passed above, so only the pooled range can fail.
@@ -150,17 +153,26 @@ impl SensorConfig {
             parameter: "pooling output range",
             value: hi - lo,
         })?;
-        if !self.adc_inl_lsb.is_finite() {
-            return Err(SensorError::InvalidConfig {
-                parameter: "adc_inl_lsb",
-                value: self.adc_inl_lsb,
-            });
+        for (parameter, value) in
+            [("adc_inl_lsb", self.adc_inl_lsb), ("pooling.nonlinearity", self.pooling.nonlinearity)]
+        {
+            if !value.is_finite() {
+                return Err(SensorError::InvalidConfig { parameter, value });
+            }
         }
-        if !(self.adc_noise >= 0.0 && self.adc_noise.is_finite()) {
-            return Err(SensorError::InvalidConfig {
-                parameter: "adc_noise",
-                value: self.adc_noise,
-            });
+        // A NaN sigma would fill the array or the pooled sites with NaN
+        // (or switch their noise off), and a negative one is squared into
+        // the pooling sigma but skipped by the full-resolution reads.
+        for (parameter, value) in [
+            ("adc_noise", self.adc_noise),
+            ("read_noise", self.pixel.read_noise),
+            ("prnu_sigma", self.pixel.prnu_sigma),
+            ("dsnu_sigma", self.pixel.dsnu_sigma),
+            ("pooling.noise_sigma", self.pooling.noise_sigma),
+        ] {
+            if !(value >= 0.0 && value.is_finite()) {
+                return Err(SensorError::InvalidConfig { parameter, value });
+            }
         }
         Ok(())
     }
@@ -439,33 +451,23 @@ impl Sensor {
         let (w, h) = (self.array.width(), self.array.height());
         let read_noise = self.config.pixel.read_noise;
         let sampler = NormalSampler::new();
-        let adc_sigma = adc.noise_sigma();
         let sites = w as u64 * h as u64;
-        let mut planes = Vec::with_capacity(3);
         let mut noise = RowNoise::new();
-        for ch in 0..3 {
+        let [r, g, b] = std::array::from_fn(|ch| {
             let mut out = Plane::new(w, h);
-            let ch_base = ch as u64 * sites;
-            let chunks = self.array.plane(ch).as_slice().chunks(ROW_CHUNK);
-            for (c, (src, dst)) in chunks.zip(out.as_mut_slice().chunks_mut(ROW_CHUNK)).enumerate()
-            {
-                let first = noise::stream(domain::FULL, ch_base + (c * ROW_CHUNK) as u64);
-                let (read, adc_g) =
-                    noise.draw(&sampler, key, first, src.len(), read_noise > 0.0, adc_sigma > 0.0);
-                for (((&sv, o), &r), &g) in src.iter().zip(dst.iter_mut()).zip(read).zip(adc_g) {
-                    let mut v = sv as f64;
-                    if read_noise > 0.0 {
-                        v += read_noise * r;
-                    }
-                    let g = if adc_sigma > 0.0 { g } else { 0.0 };
-                    *o = adc.code_to_unit(adc.convert_with_noise(v, g));
-                }
-            }
-            planes.push(out);
-        }
-        let b = planes.pop().expect("three planes");
-        let g = planes.pop().expect("three planes");
-        let r = planes.pop().expect("three planes");
+            roi::convert_run(
+                self.array.plane(ch).as_slice(),
+                out.as_mut_slice(),
+                domain::FULL,
+                ch as u64 * sites,
+                key,
+                adc,
+                read_noise,
+                &sampler,
+                &mut noise,
+            );
+            out
+        });
         let img = RgbImage::from_planes(r, g, b).expect("planes share dimensions");
         let count = w as u64 * h as u64 * 3;
         let stats = ReadoutStats {
@@ -603,6 +605,143 @@ mod tests {
                         let got = crop.planes()[ch].get(x, y).to_bits();
                         let at = format!("roi rn {read_noise} adc {adc_noise} ch {ch} ({ax},{ay})");
                         assert_eq!(got, per_site(key, stream, src.get(ax, ay)), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `(y, x)` positions of a `w×h` grid, row by row.
+    fn grid(w: u32, h: u32) -> impl Iterator<Item = (u32, u32)> {
+        (0..h).flat_map(move |y| (0..w).map(move |x| (y, x)))
+    }
+
+    #[test]
+    fn geometry_sweep_matches_per_site_draws() {
+        // Degenerate shapes against one generator per site: 1×1, 1×N and
+        // N×1 arrays and a square, pooled at k = 1 and at each side (a k
+        // that does not tile is rejected), gray and RGB, read as ROIs (a
+        // 1×1 box at each corner, then the whole array) and in full, at
+        // 1 and 2 shards, with every noise source on. Their rows reach the
+        // ADC's row converter one to a few lanes at a time.
+        use rand::rngs::KeyedRng;
+        let sampler = NormalSampler::new();
+        for (w, h) in [(1u32, 1u32), (1, 19), (19, 1), (6, 6)] {
+            let scene = test_scene(w, h);
+            let sites = w as u64 * h as u64;
+            for shards in [1u32, 2] {
+                let config = SensorConfig { shards, ..SensorConfig::default() };
+                let mut sensor = Sensor::capture(&scene, config);
+                let (params, pooling) = (config.pixel, config.pooling);
+                let (pooled_adc, pixel_adc) =
+                    (sensor.pooled_adc().clone(), sensor.pixel_adc().clone());
+                // A pooled site: the transfer plus the pooling noise,
+                // rounded to the analog plane's `f32`, then converted.
+                let pooled_site = |key, stream, v: f64, sigma: f64| {
+                    let mut rng = KeyedRng::for_stream(key, stream);
+                    let mut v = v;
+                    if sigma > 0.0 {
+                        v += sigma * sampler.sample(&mut rng);
+                    }
+                    let av = v as f32;
+                    let adc = &pooled_adc;
+                    let g = if adc.noise_sigma() > 0.0 { sampler.sample(&mut rng) } else { 0.0 };
+                    (av, adc.code_to_unit(adc.convert_with_noise(av as f64, g)).to_bits())
+                };
+                // A sub-pixel: its voltage plus the read noise, converted.
+                let pixel_site = |key, stream, src: f32| {
+                    let mut rng = KeyedRng::for_stream(key, stream);
+                    let mut v = src as f64;
+                    if params.read_noise > 0.0 {
+                        v += params.read_noise * sampler.sample(&mut rng);
+                    }
+                    let adc = &pixel_adc;
+                    let g = if adc.noise_sigma() > 0.0 { sampler.sample(&mut rng) } else { 0.0 };
+                    adc.code_to_unit(adc.convert_with_noise(v, g)).to_bits()
+                };
+                for k in [1, w, h, 4] {
+                    for mode in [ColorMode::Gray, ColorMode::Rgb] {
+                        let at = format!("{w}x{h} shards {shards} k {k} {mode}");
+                        let mut analog = Plane::new(1, 1);
+                        let mut out = Image::Gray(GrayImage::new(1, 1));
+                        let key = noise::frame_key(sensor.noise_seed, sensor.ops);
+                        let pooled = sensor.capture_pooled_into(k, mode, &mut analog, &mut out);
+                        if w % k != 0 || h % k != 0 {
+                            let err = pooled.unwrap_err();
+                            assert!(
+                                matches!(err, SensorError::InvalidPooling { .. }),
+                                "{at}: {err}"
+                            );
+                            continue;
+                        }
+                        pooled.unwrap();
+                        let planes = match &out {
+                            Image::Gray(g) => vec![g.plane()],
+                            Image::Rgb(c) => c.planes().to_vec(),
+                        };
+                        let inputs = (k * k * if mode == ColorMode::Gray { 3 } else { 1 }) as f64;
+                        let read_sigma = params.read_noise / inputs.sqrt();
+                        let ns = pooling.noise_sigma;
+                        let sigma = (ns * ns + read_sigma * read_sigma).sqrt();
+                        let (ow, oh) = (w / k, h / k);
+                        for (ch, plane) in planes.into_iter().enumerate() {
+                            assert_eq!(plane.dimensions(), (ow, oh), "{at}");
+                            for (oy, ox) in grid(ow, oh) {
+                                let rect = Rect::new(ox * k, oy * k, k, k);
+                                let (mean, dom) = match mode {
+                                    ColorMode::Gray => {
+                                        (sensor.array().mean_window_rgb(rect), domain::POOL)
+                                    }
+                                    ColorMode::Rgb => (
+                                        sensor.array().mean_window(ch, rect),
+                                        domain::POOL + ch as u64,
+                                    ),
+                                };
+                                let v = pooling.transfer(mean, params.v_dark, params.v_sat);
+                                let stream = noise::stream(dom, (oy * ow + ox) as u64);
+                                let (av, want) = pooled_site(key, stream, v, sigma);
+                                let at = format!("{at} ch {ch} ({ox},{oy})");
+                                assert_eq!(plane.get(ox, oy).to_bits(), want, "{at}");
+                                // The analog plane holds the last channel pooled.
+                                if ch as u32 + 1 == mode.channels() {
+                                    assert_eq!(analog.get(ox, oy).to_bits(), av.to_bits(), "{at}");
+                                }
+                            }
+                        }
+                    }
+                }
+                let corners = [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)];
+                let rects: Vec<Rect> = corners
+                    .into_iter()
+                    .map(|(x, y)| Rect::new(x, y, 1, 1))
+                    .chain([Rect::new(0, 0, w, h)])
+                    .collect();
+                let (mut crops, mut pool, mut union) =
+                    (Vec::new(), FramePool::new(), UnionScratch::new());
+                let key = noise::frame_key(sensor.noise_seed, sensor.ops);
+                sensor.read_rois_into(&rects, &mut crops, &mut pool, &mut union).unwrap();
+                for (rect, crop) in rects.iter().zip(&crops) {
+                    for (ch, plane) in crop.planes().into_iter().enumerate() {
+                        for (y, x) in grid(rect.w, rect.h) {
+                            let (ax, ay) = (rect.x + x, rect.y + y);
+                            let site = ch as u64 * sites + (ay * w + ax) as u64;
+                            let src = sensor.array().plane(ch).get(ax, ay);
+                            let want = pixel_site(key, noise::stream(domain::ROI, site), src);
+                            let at =
+                                format!("{w}x{h} shards {shards} roi {rect:?} ch {ch} ({ax},{ay})");
+                            assert_eq!(plane.get(x, y).to_bits(), want, "{at}");
+                        }
+                    }
+                }
+                let key = noise::frame_key(sensor.noise_seed, sensor.ops);
+                let (full, _) = sensor.read_full();
+                for (ch, plane) in full.planes().into_iter().enumerate() {
+                    for (y, x) in grid(w, h) {
+                        let site = ch as u64 * sites + (y * w + x) as u64;
+                        let src = sensor.array().plane(ch).get(x, y);
+                        let want = pixel_site(key, noise::stream(domain::FULL, site), src);
+                        let at = format!("{w}x{h} shards {shards} full ch {ch} ({x},{y})");
+                        assert_eq!(plane.get(x, y).to_bits(), want, "{at}");
                     }
                 }
             }
@@ -782,25 +921,42 @@ mod tests {
 
     #[test]
     fn validate_rejects_non_finite_bow_and_bad_noise() {
-        let inl = |adc_inl_lsb| SensorConfig { adc_inl_lsb, ..SensorConfig::default() };
-        let noise = |adc_noise| SensorConfig { adc_noise, ..SensorConfig::default() };
-        for (parameter, bad) in [
-            ("adc_inl_lsb", inl(f64::NAN)),
-            ("adc_inl_lsb", inl(f64::INFINITY)),
-            ("adc_inl_lsb", inl(f64::NEG_INFINITY)),
-            ("adc_noise", noise(-1e-3)),
-            ("adc_noise", noise(f64::NAN)),
-            ("adc_noise", noise(f64::INFINITY)),
-        ] {
+        let base = SensorConfig::default();
+        let inl = |adc_inl_lsb| SensorConfig { adc_inl_lsb, ..base };
+        let noise = |adc_noise| SensorConfig { adc_noise, ..base };
+        let pixel = |pixel| SensorConfig { pixel, ..base };
+        let read = |read_noise| pixel(PixelParams { read_noise, ..base.pixel });
+        let prnu = |prnu_sigma| pixel(PixelParams { prnu_sigma, ..base.pixel });
+        let dsnu = |dsnu_sigma| pixel(PixelParams { dsnu_sigma, ..base.pixel });
+        let pooling = |pooling| SensorConfig { pooling, ..base };
+        let pool_noise = |noise_sigma| pooling(PoolingConfig { noise_sigma, ..base.pooling });
+        let bow = |nonlinearity| pooling(PoolingConfig { nonlinearity, ..base.pooling });
+        let mut bad = Vec::new();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            bad.extend([("adc_inl_lsb", inl(v)), ("pooling.nonlinearity", bow(v))]);
+        }
+        for v in [-1e-3, -f64::MIN_POSITIVE, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            bad.extend([
+                ("adc_noise", noise(v)),
+                ("read_noise", read(v)),
+                ("prnu_sigma", prnu(v)),
+                ("dsnu_sigma", dsnu(v)),
+                ("pooling.noise_sigma", pool_noise(v)),
+            ]);
+        }
+        for (parameter, bad) in bad {
             let err = bad.validate().unwrap_err();
             assert!(
                 matches!(err, SensorError::InvalidConfig { parameter: p, .. } if p == parameter),
                 "{parameter}: {err}"
             );
         }
-        // A bow past the ladder's bound is still a valid (exact-path) ADC.
+        // A bow past the ladder's bound is still a valid (exact-path) ADC,
+        // zero noise is valid, and so is a bow of either sign.
         assert!(inl(-100.0).validate().is_ok());
-        assert!(noise(0.0).validate().is_ok());
+        for ok in [noise(0.0), read(0.0), prnu(0.0), dsnu(0.0), pool_noise(0.0), bow(-1e-3)] {
+            assert!(ok.validate().is_ok(), "{ok:?}");
+        }
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! threshold must also be a step of the quantiser (it reads at least its
 //! code, the float below it reads less), so a table shifted by one ulp
 //! fails here even where the guard band would hide it.
+//!
+//! `Adc::convert_row`, the row converter the readouts call, must give the
+//! frozen quantiser's unit values on the same inputs, on its 8-lane path
+//! (where the CPU has AVX-512F/DQ) and on its scalar path alike, in rows
+//! of every length that ends on a partial vector; and each path must send
+//! to the quantiser exactly the inputs that lie inside a guard band (or
+//! are not finite), so a window too narrow to find the code, which would
+//! only cost speed, fails here too.
 
 use hirise_imaging::{GrayImage, Image, Plane, Rect, RgbImage};
 use hirise_sensor::adc::LADDER_MAX_BITS;
@@ -41,6 +49,26 @@ fn ulps(x: f64, n: i64) -> f64 {
     }
     y
 }
+
+/// The special inputs: signed zeros, subnormals, NaNs, infinities and
+/// huge finite values.
+const SPECIALS: [f64; 15] = [
+    0.0,
+    -0.0,
+    f64::MIN_POSITIVE,
+    f64::MIN_POSITIVE / 2.0,
+    -f64::MIN_POSITIVE / 2.0,
+    f64::from_bits(1),
+    -f64::from_bits(1),
+    f64::NAN,
+    -f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1e300,
+    -1e300,
+    f64::MAX,
+    -f64::MAX,
+];
 
 /// Asserts that both conversion paths read `x` as the frozen quantiser.
 fn check(adc: &Adc, x: f64, name: &str) {
@@ -145,23 +173,8 @@ fn a_million_keyed_inputs_per_config_read_exactly() {
 
 #[test]
 fn special_values_read_exactly() {
-    let specials = [
-        0.0,
-        -0.0,
-        f64::MIN_POSITIVE,
-        f64::MIN_POSITIVE / 2.0,
-        -f64::MIN_POSITIVE / 2.0,
-        f64::from_bits(1),
-        -f64::from_bits(1),
-        f64::NAN,
-        -f64::NAN,
-        f64::INFINITY,
-        f64::NEG_INFINITY,
-        f64::MAX,
-        -f64::MAX,
-    ];
     for (name, adc) in configs() {
-        for x in specials {
+        for x in SPECIALS {
             check(&adc, x, &name);
         }
     }
@@ -238,4 +251,132 @@ fn exact_path_sensors_read_the_quantiser_on_every_path() {
             assert_codes(&pixel, src.as_slice(), plane.as_slice(), &format!("{what} full ch {ch}"));
         }
     }
+}
+
+/// Whether this CPU runs the row converter's 8 lanes.
+fn cpu_has_lanes() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The inputs a correct row converter hands to the quantiser: without a
+/// ladder every one; with one, those that are not finite or lie within
+/// the guard of the frozen code's step edges.
+fn quantiser_share(adc: &Adc, xs: &[f64]) -> usize {
+    let Some(ladder) = adc.ladder() else { return xs.len() };
+    let (th, guard) = (ladder.thresholds(), ladder.guard());
+    let clear = |x: f64| {
+        let c = frozen(adc, x) as usize;
+        x.is_finite() && x - th[c] >= guard && th[c + 1] - x >= guard
+    };
+    xs.iter().filter(|&&x| !clear(x)).count()
+}
+
+/// Asserts that `Adc::convert_row` and each of its paths give every
+/// input of `xs` the frozen quantiser's unit value, bit for bit, and
+/// that each path sends exactly [`quantiser_share`] of them to the
+/// quantiser. Returns whether the 8-lane path ran.
+fn check_row(adc: &Adc, xs: &[f64], name: &str) -> bool {
+    let top = (adc.levels() - 1) as f32;
+    let want: Vec<u32> = xs.iter().map(|&x| (frozen(adc, x) as f32 / top).to_bits()).collect();
+    let share = quantiser_share(adc, xs);
+    let mut out = vec![f32::NAN; xs.len()];
+    let bits = |out: &[f32]| out.iter().map(|o| o.to_bits()).collect::<Vec<_>>();
+    let len = xs.len();
+    assert_eq!(adc.convert_row_on(false, xs, &mut out), Some(share), "{name}: scalar, {len}");
+    assert_eq!(bits(&out), want, "{name}: scalar row of {len}");
+    out.fill(f32::NAN);
+    let lanes = adc.convert_row_on(true, xs, &mut out);
+    assert_eq!(lanes.is_some(), cpu_has_lanes() && adc.ladder().is_some(), "{name}");
+    if lanes.is_some() {
+        assert_eq!(lanes, Some(share), "{name}: lanes, {len}");
+        assert_eq!(bits(&out), want, "{name}: lane row of {len}");
+    }
+    out.fill(f32::NAN);
+    adc.convert_row(xs, &mut out);
+    assert_eq!(bits(&out), want, "{name}: row of {len}");
+    lanes.is_some()
+}
+
+/// The suite's configurations plus three that have no ladder (12 and 16
+/// bits, and a bow past the bound).
+fn row_configs() -> Vec<(String, Adc)> {
+    let mut out = configs();
+    for (bits, inl) in [(12, 0.25), (16, 0.25), (8, 100.0)] {
+        let adc = Adc::new(bits, 0.3, 0.9).unwrap().with_inl(inl);
+        assert!(adc.ladder().is_none(), "{bits} bits inl {inl}");
+        out.push((format!("{bits}-bit inl {inl} (no ladder)"), adc));
+    }
+    out
+}
+
+/// Every threshold of `adc` ± 8 ulps, with the special values spread
+/// among them.
+fn edge_inputs(adc: &Adc) -> Vec<f64> {
+    let mut xs = Vec::new();
+    if let Some(ladder) = adc.ladder() {
+        let th = ladder.thresholds();
+        for &x in &th[1..th.len() - 1] {
+            xs.extend((-8..=8).map(|n| ulps(x, n)));
+        }
+    }
+    for (i, &special) in SPECIALS.iter().enumerate() {
+        xs.insert((i * 37) % (xs.len() + 1), special);
+    }
+    xs
+}
+
+#[test]
+fn row_converter_matches_the_frozen_quantiser_on_both_paths() {
+    let mut lanes_ran = false;
+    for (i, (name, adc)) in row_configs().into_iter().enumerate() {
+        // Rows of 997 cross the lanes' 256-sample blocks and end on a
+        // partial vector.
+        for row in edge_inputs(&adc).chunks(997) {
+            lanes_ran |= check_row(&adc, row, &name);
+        }
+        let (v_lo, v_hi) = adc.range();
+        let (lo, hi) = (v_lo - 2.0 * adc.lsb(), v_hi + 2.0 * adc.lsb());
+        let key = KeyedRng::derive_key(0xADC0, i as u64);
+        let keyed: Vec<f64> = (0..1_000_000u64)
+            .map(|site| {
+                let unit = (KeyedRng::block(key, site) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                lo + unit * (hi - lo)
+            })
+            .collect();
+        for row in keyed.chunks(997) {
+            lanes_ran |= check_row(&adc, row, &name);
+        }
+    }
+    assert_eq!(lanes_ran, cpu_has_lanes());
+    if lanes_ran {
+        println!("row converter: the 8-lane path ran and matched, with the scalar path");
+    } else {
+        println!("row converter: lanes skipped (no AVX-512F/DQ); the scalar path ran alone");
+    }
+}
+
+#[test]
+fn row_converter_handles_ragged_rows() {
+    // Rows of 0..=67 inputs from several starting points: every partial
+    // vector, with threshold edges and special values in every lane.
+    let mut lanes_ran = false;
+    for (name, adc) in row_configs() {
+        let mut xs = edge_inputs(&adc);
+        let (v_lo, v_hi) = adc.range();
+        xs.extend((0..256).map(|i| v_lo + (v_hi - v_lo) * (i as f64 / 255.0)));
+        for start in [0, 1, 7, xs.len() / 2, xs.len() - 67] {
+            for len in 0..=67 {
+                lanes_ran |= check_row(&adc, &xs[start..start + len], &name);
+            }
+        }
+    }
+    assert_eq!(lanes_ran, cpu_has_lanes());
+    println!("ragged rows: 8-lane path {}", if lanes_ran { "ran" } else { "skipped" });
 }
