@@ -11,6 +11,38 @@
 //! * thermal noise at the shared node,
 //! * the source followers' read noise, attenuated by `1/√N` through the
 //!   averaging.
+//!
+//! # The pool leaf
+//!
+//! The pool and its stage-1 conversion run as one fused, keyed,
+//! row-sharded leaf (`pool_fused`). Each chunk of `ROW_CHUNK` sites of
+//! a pooled row runs in three passes over stack buffers: (1) the site
+//! means, (2) the transfer, the keyed pooling noise, the analog `f32`
+//! store and the assembly of the ADC's noisy samples, (3) one
+//! [`Adc::convert_row`] call. Where the CPU has AVX-512F/DQ (checked at
+//! run time) passes 1 and 2 take eight sites per vector:
+//!
+//! * pass 1 gathers each window's sub-pixels with stride-`k` `i32`
+//!   offsets and adds them as `f64` in exactly the scalar order (`0.0`,
+//!   then row by row, `dx` by `dx`, then `/ area`; gray adds its three
+//!   channel means, then `/ 3.0`), for every `k` whose offsets fit `i32`;
+//! * pass 2 computes the same `f64` operations as
+//!   [`PoolingConfig::transfer`], with no FMA, except `sin(π·t)`, which
+//!   is an odd Taylor polynomial after reflecting `π·t` into `[0, π/2]`.
+//!   Each lane brackets the bow term by a guard derived in
+//!   `Transfer::new` (the polynomial's error, glibc's ≤ 1 ulp for `sin`
+//!   and the products' roundings), runs the adds on both ends, and keeps
+//!   its value only where both ends round to the same `f32`. A lane whose
+//!   ends differ, or whose mean is not finite, takes the scalar per-site
+//!   transfer after the vector pass.
+//!
+//! The row tail and CPUs without the features run the scalar forms,
+//! which are the lanes' test oracle, so every analog and digital value
+//! is bit-identical on either path (NaN signs aside, which IEEE leaves
+//! open).
+
+use std::f64::consts::FRAC_PI_2;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hirise_imaging::Plane;
 use rand::distributions::NormalSampler;
@@ -132,34 +164,8 @@ pub(crate) fn pool_channel(
     analog: &mut Plane,
     out: &mut Plane,
 ) -> Result<()> {
-    validate_pooling(array, k)?;
-    let sigma = combined_sigma(cfg, array.params().read_noise, (k * k) as f64);
-    let area = (k as u64 * k as u64) as f64;
-    let plane = array.plane(channel);
-    let ku = k as usize;
-    pool_fused(
-        array,
-        k,
-        sigma,
-        cfg,
-        adc,
-        key,
-        domain::POOL + channel as u64,
-        shards,
-        pool,
-        analog,
-        out,
-        |y0, x0| {
-            let mut acc = 0.0f64;
-            for dy in 0..ku {
-                for &v in &plane.row((y0 + dy) as u32)[x0..x0 + ku] {
-                    acc += v as f64;
-                }
-            }
-            acc / area
-        },
-    );
-    Ok(())
+    let sites = Sites::Channel(channel);
+    pool_on(true, array, sites, k, cfg, adc, key, shards, pool, analog, out).map(drop)
 }
 
 /// Position-keyed, fused gray pool + digitise (`k·k·3` inputs per site,
@@ -181,29 +187,67 @@ pub(crate) fn pool_gray(
     analog: &mut Plane,
     out: &mut Plane,
 ) -> Result<()> {
+    pool_on(true, array, Sites::Gray, k, cfg, adc, key, shards, pool, analog, out).map(drop)
+}
+
+/// What one pooled site averages.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Sites {
+    /// `k·k` sub-pixels of one channel ([`pool_channel`]).
+    Channel(usize),
+    /// `k·k` sub-pixels of each of the three channels ([`pool_gray`]).
+    Gray,
+}
+
+/// [`pool_channel`] or [`pool_gray`] on a chosen path, for the oracle
+/// suite: the 8-lane passes when `lanes` (where the CPU has AVX-512F/DQ;
+/// elsewhere the scalar path runs), else the scalar path. Returns how
+/// many sites the lanes sent to the scalar transfer (a non-finite mean
+/// or a guard miss; see [`Transfer::new`]), so 0 on the scalar path.
+///
+/// # Errors
+///
+/// [`SensorError::InvalidPooling`] when `k` does not tile the array.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pool_on(
+    lanes: bool,
+    array: &PixelArray,
+    sites: Sites,
+    k: u32,
+    cfg: &PoolingConfig,
+    adc: &Adc,
+    key: u64,
+    shards: usize,
+    pool: Option<&ShardPool>,
+    analog: &mut Plane,
+    out: &mut Plane,
+) -> Result<usize> {
     validate_pooling(array, k)?;
-    let sigma = combined_sigma(cfg, array.params().read_noise, (k * k * 3) as f64);
-    let area = (k as u64 * k as u64) as f64;
-    let planes = [array.plane(0), array.plane(1), array.plane(2)];
-    let ku = k as usize;
-    // Per-channel means first, then the three-way average — exactly like
-    // `PixelArray::mean_window_rgb`.
-    pool_fused(array, k, sigma, cfg, adc, key, domain::POOL, shards, pool, analog, out, {
-        |y0, x0| {
-            let mut channel_means = [0.0f64; 3];
-            for (plane, mean) in planes.iter().zip(channel_means.iter_mut()) {
-                let mut acc = 0.0f64;
-                for dy in 0..ku {
-                    for &v in &plane.row((y0 + dy) as u32)[x0..x0 + ku] {
-                        acc += v as f64;
-                    }
-                }
-                *mean = acc / area;
-            }
-            (channel_means[0] + channel_means[1] + channel_means[2]) / 3.0
-        }
-    });
-    Ok(())
+    let params = array.params();
+    let (channels, dom) = match sites {
+        Sites::Channel(ch) => (1, domain::POOL + ch as u64),
+        Sites::Gray => (3, domain::POOL),
+    };
+    let sigma = combined_sigma(cfg, params.read_noise, input_count(k, channels));
+    let transfer = Transfer::new(cfg, params.v_dark, params.v_sat, sigma, adc.noise_sigma());
+    let fallbacks =
+        pool_fused(array, sites, k, &transfer, lanes, adc, key, dom, shards, pool, analog, out);
+    Ok(fallbacks)
+}
+
+/// Sub-pixels one pooled site averages, `channels·k·k`, as `f64`: exact
+/// in `u128` (`3·k·k` passes `u64` for the largest `k`), then rounded
+/// once.
+fn input_count(k: u32, channels: u32) -> f64 {
+    (u128::from(k) * u128::from(k) * u128::from(channels)) as f64
+}
+
+/// Whether the lanes' `i32` gather offsets, up to `7·k + k − 1` from a
+/// vector's first sub-pixel, fit for pooling factor `k`; wider factors
+/// take the scalar window sums.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn gather_fits(k: usize) -> bool {
+    (k as u64).checked_mul(8).is_some_and(|span| span <= i32::MAX as u64 + 1)
 }
 
 /// Total per-site noise sigma: circuit thermal noise plus the source
@@ -213,19 +257,206 @@ fn combined_sigma(cfg: &PoolingConfig, read_noise: f64, n_inputs: f64) -> f64 {
     (cfg.noise_sigma * cfg.noise_sigma + read_sigma * read_sigma).sqrt()
 }
 
+/// The mean input of the `k×k` window of `plane` at `(x0, y0)`: the sum
+/// in row order from `0.0`, then `/ area`, as
+/// [`PixelArray::mean_window`] computes it.
+fn window_mean(plane: &Plane, k: usize, y0: usize, x0: usize, area: f64) -> f64 {
+    let mut acc = 0.0f64;
+    for dy in 0..k {
+        for &v in &plane.row((y0 + dy) as u32)[x0..x0 + k] {
+            acc += v as f64;
+        }
+    }
+    acc / area
+}
+
+/// Pass 1 of a chunk: `means[i]` is the mean input of the site whose
+/// windows start at row `y0`, column `x0 + i·k` — the `k×k` window mean
+/// of one plane, or of three planes averaged after their window means,
+/// exactly like [`PixelArray::mean_window`] and
+/// [`PixelArray::mean_window_rgb`]. The leading full vectors take the
+/// lanes when `lanes` (and the CPU has them); the rest run here.
+fn site_means(
+    lanes: bool,
+    planes: &[&Plane],
+    k: usize,
+    y0: usize,
+    x0: usize,
+    area: f64,
+    means: &mut [f64],
+) {
+    let done = if lanes { wide::site_means(planes, k, y0, x0, area, means) } else { 0 };
+    for (i, mean) in means.iter_mut().enumerate().skip(done) {
+        let x = x0 + i * k;
+        *mean = match *planes {
+            [r, g, b] => {
+                let (r, g) = (window_mean(r, k, y0, x, area), window_mean(g, k, y0, x, area));
+                (r + g + window_mean(b, k, y0, x, area)) / 3.0
+            }
+            _ => window_mean(planes[0], k, y0, x, area),
+        };
+    }
+}
+
+/// Taylor coefficients of `sin(r) / r` in `r²`: `(−1)^j / (2j + 1)!` for
+/// `j` in `0..10` (each factorial is exact in `f64`, so each coefficient
+/// is correctly rounded).
+const SIN_TAYLOR: [f64; 10] = [
+    1.0,
+    -1.0 / 6.0,
+    1.0 / 120.0,
+    -1.0 / 5040.0,
+    1.0 / 362880.0,
+    -1.0 / 39916800.0,
+    1.0 / 6227020800.0,
+    -1.0 / 1307674368000.0,
+    1.0 / 355687428096000.0,
+    -1.0 / 121645100408832000.0,
+];
+
+/// A bound on how far the lanes' `sin(π·t)` lies from the real sine of
+/// `y = fl(π·t)`, for every `t` in `[0, 1]` (and `−0.0`).
+///
+/// The lanes reflect `y > π/2` to `r = PI − y`, which is exact (Sterbenz)
+/// and lies in `[0, π/2]`, and evaluate `r·q(r²)` by Horner with the
+/// [`SIN_TAYLOR`] coefficients. With `u = 2⁻⁵³` and `n = 10` terms, the
+/// error is at most the sum of
+///
+/// * the reflection: `|π − PI| < 1.2247e-16`, as `sin(π − y) = sin(y)`;
+/// * the truncation: the series alternates with falling terms on
+///   `[0, π/2]`, so it is below the first omitted term,
+///   `(π/2)^21 / 21! < 2.6e-16` (`r ≤ FRAC_PI_2`, which is below π/2);
+/// * the coefficients' roundings: `u·Σ|c_j|·r^(2j+1) ≤ u·sinh(π/2)`;
+/// * the evaluation: `2(n − 1)` Horner roundings, `n − 1` from the
+///   rounded `r²` through its powers, and the final product, so
+///   `γ(3n − 2)·sinh(π/2)` with `γ(m) = m·u / (1 − m·u)`;
+///
+/// in total ~7.8e-15, padded by one part in 10⁶.
+fn sin_poly_error() -> f64 {
+    let u = f64::EPSILON / 2.0;
+    let n = SIN_TAYLOR.len();
+    let sinh_half_pi = 2.3014;
+    let reflection = 1.2247e-16;
+    let truncation = (1..=2 * n + 1).fold(1.0, |term, i| term * FRAC_PI_2 / i as f64);
+    let gamma = |m: usize| m as f64 * u / (1.0 - m as f64 * u);
+    let rounding = (u + gamma(3 * n - 2)) * sinh_half_pi;
+    (reflection + truncation + rounding) * (1.0 + 1e-6)
+}
+
+/// The per-site transfer of one pooled readout: the fitted circuit over
+/// the array's voltage range, the pooling and ADC noise sigmas, and the
+/// guard that lets the lanes take `sin` from a polynomial.
+#[derive(Debug)]
+struct Transfer {
+    cfg: PoolingConfig,
+    v_dark: f64,
+    v_sat: f64,
+    /// Pooling noise sigma (thermal plus attenuated read noise).
+    sigma: f64,
+    adc_sigma: f64,
+    /// Half-width of the bracket the lanes put around the bow term.
+    guard: f64,
+}
+
+impl Transfer {
+    /// The transfer of `cfg` over `v_dark..v_sat`, and its guard.
+    ///
+    /// # The guard
+    ///
+    /// The scalar transfer computes `v = fl(A + B)` with
+    /// `A = fl(fl(gain·mean) + offset)` and `B = fl(nl·s)`, `s` glibc's
+    /// `sin` of `y = fl(PI·t)`, then `fl(v + fl(σ·p))` when the pooling
+    /// noise is on, and stores `v as f32`. The lanes compute the same `A`,
+    /// `y` and `σ·p` (no FMA) but `B' = fl(nl·s')` with the polynomial
+    /// `s'`. With `u = 2⁻⁵³`, glibc's documented ≤ 1 ulp for `sin` is at
+    /// most `2u` here (`|s| ≤ 1`), so `|s − s'| ≤ P + 2u` with
+    /// `P = sin_poly_error()`, and the two products' roundings add at most
+    /// `u·|nl|` each: `|B − B'| ≤ |nl|·(P + 4u + u·P)`. The guard is
+    /// `G = |nl|·(P + 8u)·(1 + 2⁻³⁰) + 4·2⁻¹⁰⁷⁴`: large enough that
+    /// `fl(B' − G) ≤ B ≤ fl(B' + G)` after those two roundings too (the
+    /// `2⁻¹⁰⁷⁴` terms cover subnormal results, the factor the rounding of
+    /// `G` itself).
+    ///
+    /// The roundings of the adds that follow need no term of their own:
+    /// every IEEE rounding is monotone, so the lanes run the two adds on
+    /// both ends of the bracket `[B' − G, B' + G]`, and wherever the two
+    /// ends convert to the same `f32` bits (and neither is NaN) the
+    /// scalar `v` converts to them too. `G` is strictly larger than
+    /// `|B − B'|`, so a `v` of `±0.0` cannot hide between ends of one
+    /// sign. A lane whose ends differ, or whose mean is not finite, takes
+    /// the scalar transfer instead. For the shipped configuration
+    /// (`nl` = 1.1 mV) `G` is ~9e-18 V against an `f32` step of 3e-8 V
+    /// or more over the pooled range, so a site misses with probability
+    /// ~1e-9.
+    fn new(cfg: &PoolingConfig, v_dark: f64, v_sat: f64, sigma: f64, adc_sigma: f64) -> Self {
+        let u = f64::EPSILON / 2.0;
+        let guard = cfg.nonlinearity.abs() * (sin_poly_error() + 8.0 * u) * (1.0 + 2f64.powi(-30))
+            + 4.0 * f64::from_bits(1);
+        Self { cfg: *cfg, v_dark, v_sat, sigma, adc_sigma, guard }
+    }
+
+    /// Pass 2 for one site, the scalar form and the lanes' oracle:
+    /// the transfer of `mean`, plus the pooling noise `σ·p` when it is
+    /// on; the analog `f32` voltage, and the ADC's sample, that voltage
+    /// plus its conversion noise `σ_adc·g` (`g` is ignored when that
+    /// noise is off).
+    #[inline]
+    fn site(&self, mean: f64, p: f64, g: f64) -> (f32, f64) {
+        let mut v = self.cfg.transfer(mean, self.v_dark, self.v_sat);
+        if self.sigma > 0.0 {
+            v += self.sigma * p;
+        }
+        let av = v as f32;
+        let g = if self.adc_sigma > 0.0 { g } else { 0.0 };
+        (av, av as f64 + self.adc_sigma * g)
+    }
+
+    /// Pass 2 for one chunk: the leading full vectors take the lanes
+    /// when `lanes` (and the CPU has them), the rest [`Transfer::site`].
+    /// Returns how many sites the lanes sent to the scalar transfer.
+    fn chunk(
+        &self,
+        lanes: bool,
+        means: &[f64],
+        pool_g: &[f64],
+        adc_g: &[f64],
+        analog: &mut [f32],
+        xs: &mut [f64],
+    ) -> usize {
+        let n = means.len();
+        let lane_run =
+            if lanes { wide::transfer(self, means, pool_g, adc_g, analog, xs) } else { None };
+        let (done, fallbacks) = lane_run.map_or((0, 0), |fallbacks| (n - n % 8, fallbacks));
+        for i in done..n {
+            (analog[i], xs[i]) = self.site(means[i], pool_g[i], adc_g[i]);
+        }
+        fallbacks
+    }
+}
+
 /// The shared fused keyed kernel behind [`pool_channel`] and
-/// [`pool_gray`]: row-sharded sweep over the pooled grid, calling
-/// `site_mean(y0, x0)` for each site's mean input voltage (the only part
-/// that differs between the channel and gray configurations), then
-/// transfer + keyed noise, and one [`Adc::convert_row`] call per row
-/// chunk for the ADC conversion.
+/// [`pool_gray`]: a row-sharded sweep over the pooled grid, in chunks of
+/// [`ROW_CHUNK`] sites, each in three passes:
+///
+/// 1. [`site_means`] writes the chunk's site means into a stack buffer
+///    (the only part that differs between the channel and gray
+///    configurations);
+/// 2. [`Transfer::chunk`] applies the transfer and the keyed pooling
+///    noise, stores the analog `f32` voltages and assembles the ADC's
+///    noisy samples;
+/// 3. one [`Adc::convert_row`] call converts them.
+///
+/// With `lanes`, passes 1 and 2 take eight sites per AVX-512 vector
+/// where the CPU has AVX-512F/DQ. Returns how many sites the lanes sent
+/// to the scalar transfer.
 // lint: zero-alloc
 #[allow(clippy::too_many_arguments)]
-fn pool_fused<M: Fn(usize, usize) -> f64 + Sync>(
+fn pool_fused(
     array: &PixelArray,
+    sites: Sites,
     k: u32,
-    sigma: f64,
-    cfg: &PoolingConfig,
+    transfer: &Transfer,
+    lanes: bool,
     adc: &Adc,
     key: u64,
     dom: u64,
@@ -233,16 +464,20 @@ fn pool_fused<M: Fn(usize, usize) -> f64 + Sync>(
     pool: Option<&ShardPool>,
     analog: &mut Plane,
     out: &mut Plane,
-    site_mean: M,
-) {
-    let params = *array.params();
+) -> usize {
     let (ow, oh) = (array.width() / k, array.height() / k);
     let ku = k as usize;
+    let area = (k as u64 * k as u64) as f64;
+    let all = [array.plane(0), array.plane(1), array.plane(2)];
+    let planes = match sites {
+        Sites::Channel(ch) => &all[ch..=ch],
+        Sites::Gray => &all[..],
+    };
     let oww = ow as usize;
     analog.reshape_for_overwrite(ow, oh);
     out.reshape_for_overwrite(ow, oh);
     let sampler = NormalSampler::new();
-    let adc_sigma = adc.noise_sigma();
+    let fallbacks = AtomicUsize::new(0);
     let out_base = SendPtr::new(out.as_mut_slice().as_mut_ptr());
     shard_rows(pool, analog.as_mut_slice(), oh as usize, oww, shards, |_, oy0, aband| {
         // SAFETY: `out` bands mirror the `analog` bands exactly — same
@@ -252,37 +487,341 @@ fn pool_fused<M: Fn(usize, usize) -> f64 + Sync>(
         let oband =
             unsafe { std::slice::from_raw_parts_mut(out_base.get().add(oy0 * oww), aband.len()) };
         let mut noise = RowNoise::new();
+        let mut means = [0.0f64; ROW_CHUNK];
+        let mut band_fallbacks = 0;
         for (dy, (arow, orow)) in
             aband.chunks_exact_mut(oww).zip(oband.chunks_exact_mut(oww)).enumerate()
         {
             let oy = oy0 + dy;
-            let y0 = oy * ku;
             let row_site = (oy * oww) as u64;
             let chunks = arow.chunks_mut(ROW_CHUNK).zip(orow.chunks_mut(ROW_CHUNK));
             for (c, (arow, orow)) in chunks.enumerate() {
                 let ox0 = c * ROW_CHUNK;
+                let means = &mut means[..arow.len()];
+                site_means(lanes, planes, ku, oy * ku, ox0 * ku, area, means);
                 let first = noise::stream(dom, row_site + ox0 as u64);
-                let (pool_g, adc_g, xs) =
-                    noise.draw(&sampler, key, first, arow.len(), sigma > 0.0, adc_sigma > 0.0);
-                let draws = pool_g.iter().zip(adc_g);
-                for (i, ((site, x), (&p, &g))) in
-                    arow.iter_mut().zip(xs.iter_mut()).zip(draws).enumerate()
-                {
-                    let mean = site_mean(y0, (ox0 + i) * ku);
-                    let mut v = cfg.transfer(mean, params.v_dark, params.v_sat);
-                    if sigma > 0.0 {
-                        v += sigma * p;
-                    }
-                    let av = v as f32;
-                    *site = av;
-                    let g = if adc_sigma > 0.0 { g } else { 0.0 };
-                    *x = av as f64 + adc_sigma * g;
-                }
+                let (pool_g, adc_g, xs) = noise.draw(
+                    &sampler,
+                    key,
+                    first,
+                    arow.len(),
+                    transfer.sigma > 0.0,
+                    transfer.adc_sigma > 0.0,
+                );
+                band_fallbacks += transfer.chunk(lanes, means, pool_g, adc_g, arow, xs);
                 adc.convert_row(xs, orow);
             }
         }
+        fallbacks.fetch_add(band_fallbacks, Ordering::Relaxed);
     });
+    fallbacks.into_inner()
 }
+
+/// The 8-lane forms of the pool leaf's first two passes (x86-64 with
+/// AVX-512F and AVX-512DQ), like `adc::wide`. Every `unsafe` of the pool
+/// leaf's passes is here.
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use std::arch::x86_64::*;
+    use std::f64::consts::{FRAC_PI_2, PI};
+
+    use hirise_imaging::Plane;
+
+    use super::{gather_fits, Transfer, SIN_TAYLOR};
+    use crate::noise::ROW_CHUNK;
+
+    /// Whether this CPU runs the lanes: AVX-512F for the lanes, masks and
+    /// conversions (DQ for parity with the other row kernels).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
+    }
+
+    /// Pass 1 over the chunk's leading full vectors: how many sites it
+    /// filled (a multiple of 8, or 0 when the CPU lacks the features or
+    /// `k` is too wide for the gathers).
+    pub(super) fn site_means(
+        planes: &[&Plane],
+        k: usize,
+        y0: usize,
+        x0: usize,
+        area: f64,
+        means: &mut [f64],
+    ) -> usize {
+        if !available() || !gather_fits(k) {
+            return 0;
+        }
+        // SAFETY: `available` just confirmed AVX-512F and AVX-512DQ, the
+        // features `means8` is compiled for.
+        unsafe { means8(planes, k, y0, x0, area, means) }
+    }
+
+    /// Eight window means per step: one plane's sum `/ area`, or three
+    /// planes' means added in channel order, then `/ 3.0`.
+    // lint: zero-alloc
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn means8(
+        planes: &[&Plane],
+        k: usize,
+        y0: usize,
+        x0: usize,
+        area: f64,
+        means: &mut [f64],
+    ) -> usize {
+        assert!(gather_fits(k), "gather offsets fit i32");
+        let n = means.len() - means.len() % 8;
+        // Lane `i` starts at sub-pixel `i·k` of the vector's span.
+        let ki = k as i32;
+        let starts = _mm256_setr_epi32(0, ki, 2 * ki, 3 * ki, 4 * ki, 5 * ki, 6 * ki, 7 * ki);
+        let area = _mm512_set1_pd(area);
+        for (step, out) in means[..n].chunks_exact_mut(8).enumerate() {
+            let xs = x0 + 8 * step * k;
+            // SAFETY: `starts` holds `i·k` for lane `i`, and `gather_fits`
+            // was asserted above.
+            let mean = unsafe {
+                match *planes {
+                    [r, g, b] => {
+                        let rg = _mm512_add_pd(
+                            window_mean8(r, k, y0, xs, starts, area),
+                            window_mean8(g, k, y0, xs, starts, area),
+                        );
+                        let sum = _mm512_add_pd(rg, window_mean8(b, k, y0, xs, starts, area));
+                        _mm512_div_pd(sum, _mm512_set1_pd(3.0))
+                    }
+                    _ => window_mean8(planes[0], k, y0, xs, starts, area),
+                }
+            };
+            // SAFETY: `out` holds exactly eight `f64`s.
+            unsafe { _mm512_storeu_pd(out.as_mut_ptr(), mean) };
+        }
+        n
+    }
+
+    /// The means of the eight `k×k` windows whose spans start `i·k`
+    /// sub-pixels after column `xs` of row `y0`: each sum from `0.0`,
+    /// row by row and `dx` by `dx` as the scalar [`super::window_mean`]
+    /// adds, then `/ area`.
+    ///
+    /// # Safety
+    ///
+    /// Lane `i` of `starts` must hold `i·k`, with `gather_fits(k)`, so
+    /// that every gather offset lies in the span `8·k` wide that the
+    /// function slices (bounds-checked) from each row.
+    // SAFETY(contract): `starts` holds `i·k` with `gather_fits(k)` —
+    // upheld by `means8`, the only caller, which builds it so after
+    // asserting `gather_fits(k)`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn window_mean8(
+        plane: &Plane,
+        k: usize,
+        y0: usize,
+        xs: usize,
+        starts: __m256i,
+        area: __m512d,
+    ) -> __m512d {
+        let mut acc = _mm512_setzero_pd();
+        for dy in 0..k {
+            let span = &plane.row((y0 + dy) as u32)[xs..xs + 8 * k];
+            for dx in 0..k {
+                // SAFETY: by the contract on `starts`, lane `i` reads
+                // `span[i·k + dx]` with `i < 8` and `dx < k`, so every
+                // index is below `8·k = span.len()`, 4-byte scaled.
+                let v = unsafe { _mm256_i32gather_ps::<4>(span.as_ptr().add(dx), starts) };
+                acc = _mm512_add_pd(acc, _mm512_cvtps_pd(v));
+            }
+        }
+        _mm512_div_pd(acc, area)
+    }
+
+    /// `t = clamp((mean − v_dark) / (v_sat − v_dark), 0, 1)` as
+    /// [`super::PoolingConfig::transfer`] computes it. `f64::clamp` is a
+    /// compare and blend: a NaN lane stays NaN and `−0.0` stays `−0.0`,
+    /// which `min`/`max` would not keep.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn clamped_t(tr: &Transfer, mean: __m512d) -> __m512d {
+        let span = _mm512_set1_pd(tr.v_sat - tr.v_dark);
+        let t = _mm512_div_pd(_mm512_sub_pd(mean, _mm512_set1_pd(tr.v_dark)), span);
+        let (zero, one) = (_mm512_setzero_pd(), _mm512_set1_pd(1.0));
+        let t = _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_LT_OQ>(t, zero), t, zero);
+        _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_GT_OQ>(t, one), t, one)
+    }
+
+    /// `sin(PI·t)` by the [`SIN_TAYLOR`] polynomial after reflecting
+    /// `y > π/2` into `[0, π/2]`; within `sin_poly_error()` of the real
+    /// sine of `y` for `t` in `[0, 1]`. Odd, so `−0.0` maps to `−0.0`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn sin_pi(t: __m512d) -> __m512d {
+        let pi = _mm512_set1_pd(PI);
+        let y = _mm512_mul_pd(pi, t);
+        let upper = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(y, _mm512_set1_pd(FRAC_PI_2));
+        let r = _mm512_mask_sub_pd(y, upper, pi, y);
+        let z = _mm512_mul_pd(r, r);
+        let last = SIN_TAYLOR.len() - 1;
+        let mut h = _mm512_set1_pd(SIN_TAYLOR[last]);
+        for &c in SIN_TAYLOR[..last].iter().rev() {
+            h = _mm512_add_pd(_mm512_set1_pd(c), _mm512_mul_pd(z, h));
+        }
+        _mm512_mul_pd(r, h)
+    }
+
+    /// Pass 2 over the chunk's leading full vectors: the sites sent to
+    /// the scalar transfer, or `None` (outputs untouched) when the CPU
+    /// lacks the features. The caller runs the tail.
+    pub(super) fn transfer(
+        tr: &Transfer,
+        means: &[f64],
+        pool_g: &[f64],
+        adc_g: &[f64],
+        analog: &mut [f32],
+        xs: &mut [f64],
+    ) -> Option<usize> {
+        if !available() {
+            return None;
+        }
+        // The miss masks live on the stack: one byte per vector.
+        let n = means.len();
+        assert!(n <= ROW_CHUNK, "one chunk at a time");
+        assert!([pool_g.len(), adc_g.len(), analog.len(), xs.len()] == [n; 4], "one slot per site");
+        // SAFETY: `available` just confirmed AVX-512F and AVX-512DQ, the
+        // features `transfer8` is compiled for.
+        Some(unsafe { transfer8(tr, means, pool_g, adc_g, analog, xs) })
+    }
+
+    /// Eight sites per step; a lane whose mean is not finite, or whose
+    /// bracket ends round to different `f32`s (see [`Transfer::new`]),
+    /// takes [`Transfer::site`] after the vector pass. Returns those
+    /// lanes.
+    // lint: zero-alloc
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn transfer8(
+        tr: &Transfer,
+        means: &[f64],
+        pool_g: &[f64],
+        adc_g: &[f64],
+        analog: &mut [f32],
+        xs: &mut [f64],
+    ) -> usize {
+        let n = means.len() - means.len() % 8;
+        let gain = _mm512_set1_pd(tr.cfg.gain);
+        let offset = _mm512_set1_pd(tr.cfg.offset);
+        let nl = _mm512_set1_pd(tr.cfg.nonlinearity);
+        let guard = _mm512_set1_pd(tr.guard);
+        let sigma = _mm512_set1_pd(tr.sigma);
+        let adc_sigma = _mm512_set1_pd(tr.adc_sigma);
+        // The scalar sample adds `σ_adc·0.0` when the ADC noise is off.
+        let adc_quiet = _mm512_set1_pd(tr.adc_sigma * 0.0);
+        let inf = _mm512_set1_pd(f64::INFINITY);
+        let mut missed = [0u8; ROW_CHUNK / 8];
+        let inputs =
+            means[..n].chunks_exact(8).zip(pool_g.chunks_exact(8)).zip(adc_g.chunks_exact(8));
+        let outputs = analog.chunks_exact_mut(8).zip(xs.chunks_exact_mut(8));
+        for ((((m8, p8), g8), (a8, x8)), miss) in inputs.zip(outputs).zip(&mut missed) {
+            // SAFETY: every chunk holds exactly eight elements.
+            let (mean, p, g) = unsafe {
+                (
+                    _mm512_loadu_pd(m8.as_ptr()),
+                    _mm512_loadu_pd(p8.as_ptr()),
+                    _mm512_loadu_pd(g8.as_ptr()),
+                )
+            };
+            let a = _mm512_add_pd(_mm512_mul_pd(gain, mean), offset);
+            let b = _mm512_mul_pd(nl, sin_pi(clamped_t(tr, mean)));
+            let mut lo = _mm512_add_pd(a, _mm512_sub_pd(b, guard));
+            let mut hi = _mm512_add_pd(a, _mm512_add_pd(b, guard));
+            if tr.sigma > 0.0 {
+                let noise = _mm512_mul_pd(sigma, p);
+                lo = _mm512_add_pd(lo, noise);
+                hi = _mm512_add_pd(hi, noise);
+            }
+            let av = _mm512_cvtpd_ps(lo);
+            let (lo, hi) = (_mm512_cvtps_pd(av), _mm512_cvtps_pd(_mm512_cvtpd_ps(hi)));
+            let same = _mm512_cmpeq_epi64_mask(_mm512_castpd_si512(lo), _mm512_castpd_si512(hi));
+            let ordered = _mm512_cmp_pd_mask::<_CMP_ORD_Q>(lo, hi);
+            let finite = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(_mm512_abs_pd(mean), inf);
+            *miss = !(same & ordered & finite);
+            let x = if tr.adc_sigma > 0.0 {
+                _mm512_add_pd(lo, _mm512_mul_pd(adc_sigma, g))
+            } else {
+                _mm512_add_pd(lo, adc_quiet)
+            };
+            // SAFETY: every chunk holds exactly eight elements.
+            unsafe {
+                _mm256_storeu_ps(a8.as_mut_ptr(), av);
+                _mm512_storeu_pd(x8.as_mut_ptr(), x);
+            }
+        }
+        let mut fallbacks = 0;
+        for (step, &miss) in missed[..n / 8].iter().enumerate() {
+            let mut lanes = miss;
+            while lanes != 0 {
+                let i = 8 * step + lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                (analog[i], xs[i]) = tr.site(means[i], pool_g[i], adc_g[i]);
+                fallbacks += 1;
+            }
+        }
+        fallbacks
+    }
+
+    /// The lanes' `sin(PI·t)` of eight `t`s, for the oracle suite.
+    #[cfg(test)]
+    pub(super) fn sin_pi_lanes(ts: &[f64; 8]) -> Option<[f64; 8]> {
+        if !available() {
+            return None;
+        }
+        let mut out = [0.0f64; 8];
+        // SAFETY: `available` just confirmed the features; `ts` and
+        // `out` hold eight `f64`s each.
+        unsafe { _mm512_storeu_pd(out.as_mut_ptr(), sin_pi(_mm512_loadu_pd(ts.as_ptr()))) };
+        Some(out)
+    }
+}
+
+/// The lanes' stand-in where the target has no AVX-512: every chunk
+/// takes the scalar passes.
+#[cfg(not(target_arch = "x86_64"))]
+mod wide {
+    use hirise_imaging::Plane;
+
+    use super::Transfer;
+
+    #[cfg(test)]
+    pub(super) fn available() -> bool {
+        false
+    }
+
+    pub(super) fn site_means(
+        _: &[&Plane],
+        _: usize,
+        _: usize,
+        _: usize,
+        _: f64,
+        _: &mut [f64],
+    ) -> usize {
+        0
+    }
+
+    pub(super) fn transfer(
+        _: &Transfer,
+        _: &[f64],
+        _: &[f64],
+        _: &[f64],
+        _: &mut [f32],
+        _: &mut [f64],
+    ) -> Option<usize> {
+        None
+    }
+
+    #[cfg(test)]
+    pub(super) fn sin_pi_lanes(_: &[f64; 8]) -> Option<[f64; 8]> {
+        None
+    }
+}
+
+#[cfg(test)]
+mod lane_oracle;
 
 #[cfg(test)]
 mod tests {
